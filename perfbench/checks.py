@@ -1,10 +1,11 @@
 """Checks of perckit's outputs against computations made apart from it.
 
 `run_check(job, exit_code, stdout)` returns one `Check` per checked output.
-A check that fails marks one failed operation.  Bracket checks (does a
-`pak`/`sweep-pak` bracket contain the exact log P(A_k)?) carry
-`bracket=True`: they are the checks a known fault makes fail, see
-README.md.
+A check that fails marks one failed operation.  A failed check leaves the
+run's `correct` true only when it is `excused`: a `pak`/`sweep-pak` bracket
+at one of the points in KNOWN_BRACKET_MISSES that misses the exact
+log P(A_k) by no more than floating-point rounding, the known fault that
+README.md describes.  Any other failure makes `correct` false.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
-    bracket: bool = False
+    excused: bool = False
 
 
 def _close(a, b, rel=REL) -> bool:
@@ -205,15 +206,33 @@ def exact_log_pak(k: int, s: float) -> mp.mpf:
         raise KeyError(f"no stored exact log P(A_{k}) at s={s}; rerun make_reference.py") from None
 
 
-def _bracket(name, k, s, log_value, error_bound):
+# The (job, k, s) points whose bracket misses the exact value on every run
+# because `prob_ak` ignores the rounding of `rho_exact` (README.md, "The
+# known failing operations").  Such a miss is excused only while it is of
+# rounding size, at most ROUNDING_REL * |log P(A_k)|; the largest seen is
+# 6.7e-13 relative (k = 1, s = 1e-4), so a wrong value, or a miss at any
+# other point, still makes the run incorrect.
+KNOWN_BRACKET_MISSES = frozenset(
+    [("pak", 1, 1e-4), ("pak", 3, 1e-4)]
+    + [("sweep-pak", 2, s) for s in (0.1, 0.05, 0.02, 0.01, 0.005)]
+    + [("sweep-pak", 3, s) for s in (0.05, 0.005)]
+    + [("sweep-pak", 4, s) for s in (0.02, 0.01, 0.005)]
+)
+ROUNDING_REL = 1e-11
+
+
+def _bracket(job, k, s, log_value, error_bound):
     """Is exact log P(A_k) in [log_value - error_bound, log_value + error_bound], exactly?"""
     exact = exact_log_pak(k, s)
     with mp.workdps(ref.DPS):
         lo = mp.mpf(log_value) - mp.mpf(error_bound)
         hi = mp.mpf(log_value) + mp.mpf(error_bound)
         ok = lo <= exact <= hi
+        miss = max(lo - exact, exact - hi)
+        excused = (not ok and (job, k, s) in KNOWN_BRACKET_MISSES
+                   and miss <= ROUNDING_REL * abs(exact))
         detail = f"exact - lower = {mp.nstr(exact - lo, 5)}, upper - exact = {mp.nstr(hi - exact, 5)}"
-    return Check(f"{name}.bracket", ok, detail, bracket=True)
+    return Check(f"{job}.k{k}.s{s}.bracket", ok, detail, excused=bool(excused))
 
 
 def _value_ok(value, log_value) -> bool:
@@ -234,7 +253,7 @@ def check_pak(params, exit_code, stdout):
     )
     out = [Check(f"{name}.output", shape_ok, "" if shape_ok else f"payload {d}")]
     if shape_ok:
-        out.append(_bracket(name, k, s, d["log_value"], d["error_bound"]))
+        out.append(_bracket("pak", k, s, d["log_value"], d["error_bound"]))
     return out
 
 
@@ -266,7 +285,7 @@ def check_sweep(params, exit_code, stdout):
     )
     out = [Check("sweep-pak.rows", rows_ok, "" if rows_ok else "rows differ from the grid")]
     if rows_ok:
-        out += [_bracket(f"sweep-pak.k{k}.s{s}", k, s, row["log_value"], row["error_bound"])
+        out += [_bracket("sweep-pak", k, s, row["log_value"], row["error_bound"])
                 for row, (k, s) in zip(d, grid)]
     return out
 

@@ -10,8 +10,9 @@ workload's job list until --seconds have passed, each round's outputs
 checked against computations made apart from the program.  The last line
 of stdout is one JSON object: `correct`, `attempted`, `failed` and
 `metrics`.  With --trace 0 the metrics are the end-to-end ones (solve_s,
-the median round time; setup_s; peak_rss_mib); with --trace 1 the
-per-layer ones, and the spans go to perfbench/out/.
+the median round time scaled to a reference host speed by speed.py;
+setup_s; peak_rss_mib); with --trace 1 the per-layer ones, and the spans
+go to perfbench/out/.
 """
 
 import time
@@ -99,38 +100,51 @@ def main(argv=None) -> int:
     if args.seed < 0 or args.seconds <= 0:
         print("perfbench: --seed must be >= 0 and --seconds > 0", file=sys.stderr)
         return 2
+    # Warm-up is set-up, not measured work: a warm-up job that succeeds is no
+    # operation, one that fails is a failed operation and makes the run incorrect.
+    attempted = failed = 0
+    correct = True
     cli = _import_program()
     for warm in workloads.WARMUP[args.workload]:
         code, _, err = run_job(cli, warm)
         if code != 0:
-            print(f"perfbench: warm-up {warm} failed ({code}):\n{err}", file=sys.stderr)
+            attempted += 1
+            failed += 1
+            correct = False
+            print(f"perfbench: FAILED warm-up {warm} ({code}):\n{err}", file=sys.stderr)
     setup_s = time.perf_counter() - _T0 + (_BEFORE_T0 or 0.0)
 
-    from perfbench import checks, tracer as tracing
+    from perfbench import checks, speed, tracer as tracing
 
-    tracer = None
+    tracer = sampler = None
     if args.trace:
         tracer = tracing.Tracer()
         missing = tracer.install()
         if missing:
             print(f"perfbench: not traced (not found): {missing}", file=sys.stderr)
+    else:
+        sampler = speed.Sampler()
 
     make_jobs = workloads.WORKLOADS[args.workload]
-    round_s, cycle_s, round_spans, verdicts = [], [], [], {}
-    attempted = failed = 0
-    correct = True
+    round_s, scaled_s, cycle_s, round_spans, verdicts = [], [], [], [], {}
     start = time.perf_counter()
     while True:
         jobs = make_jobs(workloads.round_seed(args.seed, len(round_s)))
         first_span = len(tracer.spans) if tracer else 0
         results = []
+        if sampler:
+            sampler.start()
         cycle_start = time.perf_counter()
         for job in jobs:
             idx = tracer.open(f"job:{job.name}") if tracer else None
             results.append(run_job(cli, job.argv))
             if tracer:
                 tracer.close(idx)
+        if sampler:
+            sampler.stop()
         round_s.append(time.perf_counter() - cycle_start)
+        if sampler:
+            scaled_s.append(sampler.scaled(round_s[-1]))
         if tracer:
             round_spans.append((first_span, len(tracer.spans)))
         for job, (code, stdout, stderr) in zip(jobs, results):
@@ -147,9 +161,11 @@ def main(argv=None) -> int:
                 attempted += 1
                 if not item.ok:
                     failed += 1
-                    correct = correct and item.bracket
+                    correct = correct and item.excused
                     if len(round_s) == 1:
-                        print(f"perfbench: FAILED {item.name}: {item.detail}", file=sys.stderr)
+                        known = " (known rounding miss)" if item.excused else ""
+                        print(f"perfbench: FAILED{known} {item.name}: {item.detail}",
+                              file=sys.stderr)
         cycle_s.append(time.perf_counter() - cycle_start)
         # Start no round that is expected to end after --seconds.
         if time.perf_counter() - start + statistics.median(cycle_s) > args.seconds:
@@ -158,6 +174,9 @@ def main(argv=None) -> int:
     print(f"perfbench: {args.workload} seed {args.seed}: {len(round_s)} rounds, "
           f"round times {[round(x, 3) for x in round_s]}, median {statistics.median(round_s):.4f} s"
           f"{' (traced)' if tracer else ''}", file=sys.stderr)
+    if sampler:
+        print(f"perfbench: rounds at the reference speed {[round(x, 3) for x in scaled_s]}, "
+              f"median {statistics.median(scaled_s):.4f} s", file=sys.stderr)
     if tracer:
         tracer.uninstall()
         per_round = [tracing.layer_metrics(tracer.spans, a, b) for a, b in round_spans]
@@ -175,7 +194,7 @@ def main(argv=None) -> int:
     else:
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         metrics = {
-            "solve_s": {"value": statistics.median(round_s), "unit": "s"},
+            "solve_s": {"value": statistics.median(scaled_s), "unit": "s"},
             "setup_s": {"value": setup_s, "unit": "s"},
             "peak_rss_mib": {"value": peak_kib / 1024.0, "unit": "MiB"},
         }
