@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="threshold scan over a (k, q|s, L) grid")
     p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--model", choices=["local", "modified", "frobose"], default="local")
+    p.add_argument("--model", choices=list(harness.LOCAL_VARIANTS), default="local")
     p.add_argument("--k", type=int, nargs="+", default=[2])
     p.add_argument("--q", type=float, nargs="*", default=None)
     p.add_argument("--s", type=float, nargs="*", default=None)
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, nargs="+", required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--model", default=None)
+    p.add_argument("--model", choices=list(harness.LOCAL_VARIANTS), default=None)
     p.set_defaults(fn=_cmd_trend)
 
     p = sub.add_parser("sweep-pak", help="P(A_k) against the theorem bounds")

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gap_process import prob_ak, prob_ak_log_bounds
-from .lattice import CellState, Lattice, ModelSpec, Variant, reaches_boundary, run_to_fixpoint
+from .lattice import ModelSpec, Variant, bitboard_reaches_far_edge
 from .rng import derive_seed, trial_generator
 from .special_fn import lambda_k
 
@@ -42,7 +42,7 @@ __all__ = [
 
 CSV_HEADER = ["k", "model", "q", "s", "L", "trials", "successes", "estimate", "stderr", "seed"]
 
-_LOCAL_VARIANTS = {
+LOCAL_VARIANTS = {
     "local": Variant.LOCAL_K,
     "modified": Variant.LOCAL_MODIFIED,
     "frobose": Variant.LOCAL_FROBOSE,
@@ -64,8 +64,8 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.model not in _LOCAL_VARIANTS:
-            raise ValueError(f"model must be one of {sorted(_LOCAL_VARIANTS)}")
+        if self.model not in LOCAL_VARIANTS:
+            raise ValueError(f"model must be one of {sorted(LOCAL_VARIANTS)}")
         if (self.q_values is None) == (self.s_values is None):
             raise ValueError("exactly one of q_values or s_values is required")
         if not self.k_values or not self.L_values:
@@ -103,7 +103,8 @@ class ExperimentConfig:
         """(k, q, s, L) in grid order."""
         out = []
         if self.q_values is not None:
-            pq = [(q, -math.log(q) if q > 0 else math.inf) for q in self.q_values]
+            # 0.0 - log(q), not -log(q): q = 1 gives s = 0.0, never -0.0
+            pq = [(q, 0.0 - math.log(q) if q > 0 else math.inf) for q in self.q_values]
         else:
             pq = [(math.exp(-s), s) for s in self.s_values]
         for k in self.k_values:
@@ -140,7 +141,9 @@ class MCResult:
 
 
 def _variant_for(model: str, k: int) -> Variant:
-    v = _LOCAL_VARIANTS[model]
+    if model not in LOCAL_VARIANTS:
+        raise ValueError(f"model must be one of {sorted(LOCAL_VARIANTS)}, not {model!r}")
+    v = LOCAL_VARIANTS[model]
     if v is Variant.LOCAL_K and k == 1:
         raise ValueError("the local k-model needs k >= 2; use modified/frobose for k = 1")
     return v
@@ -160,15 +163,13 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
     p_active = 1.0 - spec.q
     for t in range(trials):
         rng = trial_generator(point_seed, t)
-        draws = rng.random((L, L))
-        if draws[0, 0] >= p_active:
+        # The trial's L*L uniforms in row-major order, the origin's first;
+        # the rest are drawn only when the origin is nonempty.
+        if rng.random() >= p_active:
             continue  # origin empty: nothing ever grows
-        cells = np.where(draws < p_active, np.uint8(CellState.OCCUPIED), np.uint8(CellState.EMPTY))
-        cells[0, 0] = CellState.ACTIVE
-        lat = Lattice(cells=cells, origin=(0, 0))
-        fixed, _, converged = run_to_fixpoint(lat, spec)
-        if converged and reaches_boundary(fixed, spec):
-            successes += 1
+        rest = np.packbits(rng.random(L * L - 1) < p_active, bitorder="little")
+        nonempty = int.from_bytes(rest.tobytes(), "little") << 1 | 1
+        successes += bitboard_reaches_far_edge(spec, L, nonempty)
     return successes
 
 

@@ -24,14 +24,21 @@ permanently Empty, making the finite window a conservative proxy for
 growth claims.
 
 Coordinates are (x, y) with x the column and y the row; grids are stored
-as uint8 arrays indexed [y, x].  The production step is vectorized
-(shifted-array counts); `step_reference` is a deliberately naive
-per-cell Python implementation kept for differential testing.
+as uint8 arrays indexed [y, x].
+
+Two engines compute the same closure.  `step` / `run_to_fixpoint` /
+`reaches_boundary` work on a `Lattice` with shifted numpy arrays; they
+serve `simulate`, the growth-event checks, and the tests as the oracle,
+with `step_reference` (a deliberately naive per-cell step) as the oracle
+for `step` itself.  `bitboard_reaches_far_edge` is the Monte Carlo path
+that `harness` uses for boundary-reach trials: the window packed into
+Python-int bitboards, each generation a few dozen shifts, ANDs and ORs.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -49,6 +56,7 @@ __all__ = [
     "run_to_fixpoint",
     "spans",
     "reaches_boundary",
+    "bitboard_reaches_far_edge",
     "extract_growth_sequence",
     "is_good_configuration",
     "to_text",
@@ -184,10 +192,17 @@ def _shift(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """mask translated by (dx, dy), zero-filled (outside the window is Empty)."""
     h, w = mask.shape
     out = np.zeros_like(mask)
-    ys_src = slice(max(0, -dy), h - max(0, dy))
-    xs_src = slice(max(0, -dx), w - max(0, dx))
-    ys_dst = slice(max(0, dy), h - max(0, -dy))
-    xs_dst = slice(max(0, dx), w - max(0, -dx))
+    if abs(dx) >= w or abs(dy) >= h:
+        return out  # shifted wholly outside; the slices below would wrap
+    # branches, not max(): this runs hundreds of thousands of times per verify
+    if dy >= 0:
+        ys_src, ys_dst = slice(0, h - dy), slice(dy, h)
+    else:
+        ys_src, ys_dst = slice(-dy, h), slice(0, h + dy)
+    if dx >= 0:
+        xs_src, xs_dst = slice(0, w - dx), slice(dx, w)
+    else:
+        xs_src, xs_dst = slice(-dx, w), slice(0, w + dx)
     out[ys_dst, xs_dst] = mask[ys_src, xs_src]
     return out
 
@@ -428,6 +443,111 @@ def reaches_boundary(lattice: Lattice, spec: ModelSpec) -> bool:
                     nxt.append((nx, ny))
         frontier = nxt
     return False
+
+
+@functools.lru_cache(maxsize=64)
+def _board_masks(L: int, reach: int) -> Tuple[int, int, List[int], List[int]]:
+    """(all cells, far-edge cells, plus, minus) for an L x L bitboard.
+
+    plus[v] / minus[v] keep the columns that a horizontal shift by +v / -v
+    may land in; masking with them drops the bits that the row-major shift
+    carries across a row end instead of out of the window.
+    """
+    full = (1 << (L * L)) - 1
+    first_column = full // ((1 << L) - 1)  # bit y*L of every row y
+    row = (1 << L) - 1
+    plus = [first_column * (row & ~((1 << v) - 1)) for v in range(reach + 1)]
+    minus = [first_column * ((1 << max(L - v, 0)) - 1) for v in range(reach + 1)]
+    far = (full ^ ((1 << (L * (L - 1))) - 1)) | (first_column << (L - 1)) if L > 1 else 0
+    return full, far, plus, minus
+
+
+def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
+    """Whether the localized closure from an Active origin at (0, 0) reaches a far edge.
+
+    The L x L window is packed row-major into Python ints, bit y*L + x for
+    cell (x, y).  `nonempty` marks the nonempty cells; the origin (bit 0)
+    is Active and every other nonempty cell Occupied.  Each synchronous
+    generation applies the rule to whole boards (Active, Occupied-not-
+    active, Empty):
+
+    * local k: an Occupied cell fires when the l1 ball of radius k around
+      it holds an Active cell (k dilations by the l1 unit ball); an Empty
+      cell fires on at least k Active cells among its 4(k-1) cross
+      neighbours, counted by a saturating bit-sliced counter;
+    * modified and Frobose: boolean algebra on the shifted boards.
+
+    The answer equals `reaches_boundary` after `run_to_fixpoint` on the
+    same window, and two facts let the loop stop early:
+
+    * Reach equals far-edge activity.  In a localized model every Active
+      cell is joined to the origin through the influence neighbourhood
+      (each activation is triggered by Active cells within it), so the
+      cluster reaches a far edge iff some far-edge cell is Active.  The far
+      edges are the top row and the right column; edges through the origin
+      do not count, so at L = 1 there is no far cell.
+    * Early stop.  The rules are monotone, so the trial succeeds as soon
+      as one generation activates a far-edge cell, and fails as soon as
+      one activates nothing.  Every generation before that activates at
+      least one of the L*L cells, so no step budget is needed.
+    """
+    variant, k = spec.variant, spec.k
+    if not spec.is_local:
+        raise ValueError("the bitboard closure needs a localized model variant")
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    full, far, plus, minus = _board_masks(L, max(k - 1, 1))
+
+    def shift(board, dx, dy):
+        """board translated by (dx, dy); cells leaving the window are dropped."""
+        if dx > 0:
+            board = (board << dx) & plus[dx]
+        elif dx < 0:
+            board = (board >> -dx) & minus[-dx]
+        if dy > 0:
+            board = (board << (dy * L)) & full
+        elif dy < 0:
+            board >>= -dy * L
+        return board
+
+    active = 1
+    occupied = nonempty & full & ~1
+    empty = full & ~nonempty
+    while True:
+        if variant is Variant.LOCAL_K:
+            ball = active
+            for _ in range(k):
+                ball |= (
+                    shift(ball, 1, 0) | shift(ball, -1, 0) | shift(ball, 0, 1) | shift(ball, 0, -1)
+                )
+            at_least = [0] * (k + 1)  # at_least[j]: j or more Active cross neighbours seen
+            for v in range(1, k):
+                for dx, dy in ((v, 0), (-v, 0), (0, v), (0, -v)):
+                    hit = shift(active, dx, dy)
+                    for j in range(k, 1, -1):
+                        at_least[j] |= at_least[j - 1] & hit
+                    at_least[1] |= hit
+            new = (occupied & ball) | (empty & at_least[k])
+        else:
+            right, left = shift(active, 1, 0), shift(active, -1, 0)
+            up, down = shift(active, 0, 1), shift(active, 0, -1)
+            if variant is Variant.LOCAL_MODIFIED:
+                row = active | right | left
+                near = row | shift(row, 0, 1) | shift(row, 0, -1)
+                fire = (up | down) & (right | left)
+            else:  # LOCAL_FROBOSE: a vertical, a horizontal and the corner between them
+                near = right | left | up | down
+                fire = 0
+                for side in (right, left):
+                    fire |= (up & side & shift(side, 0, 1)) | (down & side & shift(side, 0, -1))
+            new = (occupied & near) | (empty & fire)
+        if not new:
+            return False
+        if new & far:
+            return True
+        active |= new
+        occupied &= ~new
+        empty &= ~new
 
 
 # --- rectangle growth sequences -------------------------------------------

@@ -3,8 +3,10 @@
 Per-point seeds come from a splitmix64 stream over the master seed: point
 i uses finalize(master + (i+1) * GOLDEN), the reference splitmix64 output
 function.  Per-trial randomness then uses numpy's counter-based Philox
-keyed by the point seed, with trial blocks reached via `jumped`, so any
-trial's draws are reproducible regardless of scheduling or worker count.
+keyed by the point seed, trial t starting at counter [0, 0, t, 0] (the
+block that `Philox(key=point_seed).jumped(t)` reaches, built without the
+jump), so any trial's draws are reproducible regardless of scheduling or
+worker count.
 """
 
 from __future__ import annotations
@@ -33,4 +35,4 @@ def derive_seed(master: int, index: int) -> int:
 
 def trial_generator(point_seed: int, trial: int) -> np.random.Generator:
     """An independent counter-based stream for one trial of one point."""
-    return np.random.Generator(np.random.Philox(key=point_seed).jumped(trial))
+    return np.random.Generator(np.random.Philox(key=point_seed, counter=[0, 0, trial, 0]))

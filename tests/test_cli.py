@@ -156,6 +156,34 @@ class TestSimulationCommands:
         )
         assert code == 2 and "seed" in err
 
+    def test_scan_q_one_writes_s_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--model", "local", "--k", "2", "--q", "1.0", "--L", "8",
+            "--trials", "3", "--seed", "1",
+        )
+        row = out.strip().splitlines()[1].split(",")
+        assert code == 0 and row[3] == "0.0" and row[6] == "0"
+
+    def test_tiny_windows_wider_neighbourhood(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--model", "local", "--k", "3", "--q", "0.5", "--L", "1", "2", "3",
+            "--trials", "20", "--seed", "1",
+        )
+        assert code == 0 and len(out.strip().splitlines()) == 4
+        for L in ("1", "2", "3"):
+            code, out, _ = run_cli(
+                capsys, "simulate", "--model", "local", "--k", "4", "--q", "0.5", "--L", L,
+                "--seed", "1",
+            )
+            assert code == 0 and json.loads(out)["converged"] is True
+
+    def test_trend_rejects_unknown_model(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trend", "--k", "2", "--s", "0.5", "0.4", "--trials", "2", "--seed", "1",
+                  "--model", "foo"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+
     def test_sweep_pak(self, capsys):
         code, out, _ = run_cli(capsys, "sweep-pak", "--k", "1", "2", "--s", "0.2", "0.1")
         rows = json.loads(out)

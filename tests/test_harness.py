@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perckit.harness import (
     ExperimentConfig,
     MCResult,
+    _boundary_trials,
+    _variant_for,
     default_trend_window,
     results_to_csv,
     scan_threshold,
@@ -16,7 +20,15 @@ from perckit.harness import (
     trend_check_theorem1,
     write_results,
 )
-from perckit.rng import derive_seed, splitmix64
+from perckit.lattice import (
+    CellState,
+    Lattice,
+    ModelSpec,
+    Variant,
+    reaches_boundary,
+    run_to_fixpoint,
+)
+from perckit.rng import derive_seed, splitmix64, trial_generator
 from perckit.special_fn import lambda_k
 
 
@@ -34,6 +46,12 @@ class TestRng:
         assert len(seeds) == 1000
         with pytest.raises(ValueError):
             derive_seed(42, -1)
+
+    @pytest.mark.parametrize("trial", [0, 1, 7, 2**32 + 3])
+    def test_trial_generator_is_the_jumped_stream(self, trial):
+        seed = derive_seed(42, 3)
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
+        assert np.array_equal(trial_generator(seed, trial).random(64), jumped.random(64))
 
 
 class TestConfig:
@@ -63,6 +81,15 @@ class TestConfig:
         pts = cfg.points()
         assert [(k, L) for k, _, _, L in pts] == [(2, 8), (2, 16), (3, 8), (3, 16)]
         assert pts[0][1] == pytest.approx(math.exp(-0.5))
+
+    def test_q_one_gives_s_zero(self):
+        cfg = ExperimentConfig(model="local", k_values=(2,), L_values=(8,), q_values=(1.0,), seed=1)
+        s = cfg.points()[0][2]
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
+
+    def test_unknown_model(self):
+        with pytest.raises(ValueError, match="foo"):
+            _variant_for("foo", 2)
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -154,6 +181,49 @@ class TestScan:
     def test_mcresult_validation(self):
         with pytest.raises(ValueError):
             MCResult(k=2, model="local", q=0.5, s=0.7, L=8, trials=10, successes=11, seed=0)
+
+
+def _fixpoint_trials(spec, L, trials, point_seed):
+    """Boundary-reach successes by `run_to_fixpoint` + `reaches_boundary` on each trial's grid."""
+    successes = 0
+    p_active = 1.0 - spec.q
+    for t in range(trials):
+        draws = trial_generator(point_seed, t).random((L, L))
+        if draws[0, 0] >= p_active:
+            continue
+        cells = np.where(draws < p_active, np.uint8(CellState.OCCUPIED), np.uint8(CellState.EMPTY))
+        cells[0, 0] = CellState.ACTIVE
+        fixed, _, converged = run_to_fixpoint(Lattice(cells=cells), spec)
+        successes += converged and reaches_boundary(fixed, spec)
+    return successes
+
+
+_VARIANT_K = [(Variant.LOCAL_K, k) for k in (2, 3, 4, 5)] + [
+    (Variant.LOCAL_MODIFIED, 1),
+    (Variant.LOCAL_FROBOSE, 1),
+]
+
+
+class TestBoundaryTrials:
+    @given(
+        st.sampled_from(_VARIANT_K),
+        # the endpoints, anything, and the range where growth is near critical
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(0.4, 0.85)),
+        st.integers(1, 70),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fixpoint_and_bfs(self, variant_k, q, L, seed):
+        variant, k = variant_k
+        spec = ModelSpec(variant, k=k, q=q)
+        trials = 3
+        assert _boundary_trials(spec, L, trials, seed) == _fixpoint_trials(spec, L, trials, seed)
+
+    def test_pinned_trend_counts(self):
+        # trend --k 2 --s 0.25 0.2 0.167 0.143 --trials 1000 --seed 7, as
+        # counted by run_to_fixpoint + reaches_boundary before the bitboards
+        report = trend_check_theorem1(2, (0.25, 0.2, 0.167, 0.143), trials=1000, seed=7)
+        assert report.successes == [95, 59, 19, 20]
 
 
 class TestTrend:

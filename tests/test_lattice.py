@@ -8,6 +8,7 @@ from perckit.lattice import (
     Lattice,
     ModelSpec,
     Variant,
+    bitboard_reaches_far_edge,
     extract_growth_sequence,
     from_text,
     is_good_configuration,
@@ -174,6 +175,24 @@ class TestDifferentialAndMonotone:
             assert ch_fast == ch_slow
             assert np.array_equal(fast.cells, slow.cells)
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_step_matches_reference_on_tiny_windows(self, size):
+        # neighbourhoods wider than the window shift wholly outside it
+        specs = [ModelSpec(Variant.GLOBAL_K, k=k, q=0.5) for k in (1, 2, 3, 4)]
+        specs += [ModelSpec(Variant.LOCAL_K, k=k, q=0.5) for k in (2, 3, 4)]
+        specs += [ModelSpec(v, k=1, q=0.5) for v in (Variant.LOCAL_MODIFIED, Variant.LOCAL_FROBOSE)]
+        rng = np.random.default_rng(size)
+        for spec in specs:
+            for _ in range(20):
+                cells = rng.choice([0, 1, 2], size=(size, size)).astype(np.uint8)
+                if not spec.is_local:
+                    cells[cells == O] = E
+                lat = Lattice(cells=cells)
+                fast, ch_fast = step(lat, spec)
+                slow, ch_slow = step_reference(lat, spec)
+                assert ch_fast == ch_slow
+                assert np.array_equal(fast.cells, slow.cells)
+
     def test_monotone_active_growth(self):
         spec = ModelSpec(Variant.LOCAL_K, k=2, q=0.5)
         lat = sample_initial(spec, 24, 24, seed=2, localized=True)
@@ -257,6 +276,64 @@ class TestSpansReaches:
         cells[8, 8] = A
         fixed, _, _ = run_to_fixpoint(Lattice(cells=cells, origin=(4, 4)), spec)
         assert not reaches_boundary(fixed, spec)
+
+
+def _pack(nonempty: np.ndarray) -> int:
+    """Bitboard of a boolean [y, x] grid, bit y*L + x."""
+    return int.from_bytes(np.packbits(nonempty.ravel(), bitorder="little").tobytes(), "little")
+
+
+_LOCAL_SPECS = [(Variant.LOCAL_K, k) for k in (2, 3, 4, 5)] + [
+    (Variant.LOCAL_MODIFIED, 1),
+    (Variant.LOCAL_FROBOSE, 1),
+]
+
+
+class TestBitboardClosure:
+    @pytest.mark.parametrize("variant_k", _LOCAL_SPECS, ids=lambda vk: f"{vk[0].value}-k{vk[1]}")
+    def test_matches_fixpoint_and_bfs_on_many_small_windows(self, variant_k):
+        # empty-cell activations decide reach only in rare small patterns;
+        # many cheap windows near the critical density find them
+        variant, k = variant_k
+        rng = np.random.default_rng(k)
+        for _ in range(400):
+            L = int(rng.integers(2, 11))
+            q = float(rng.uniform(0.3, 0.9))
+            spec = ModelSpec(variant, k=k, q=q)
+            nonempty = rng.random((L, L)) < 1.0 - q
+            nonempty[0, 0] = True
+            cells = np.where(nonempty, np.uint8(O), np.uint8(E))
+            cells[0, 0] = A
+            fixed, _, _ = run_to_fixpoint(Lattice(cells=cells), spec)
+            assert bitboard_reaches_far_edge(spec, L, _pack(nonempty)) == reaches_boundary(
+                fixed, spec
+            )
+
+    def test_fully_occupied_reaches(self):
+        for variant, k in _LOCAL_SPECS:
+            spec = ModelSpec(variant, k=k, q=0.0)
+            assert bitboard_reaches_far_edge(spec, 9, (1 << 81) - 1)
+
+    def test_lonely_origin_and_single_cell_window(self):
+        for variant, k in _LOCAL_SPECS:
+            spec = ModelSpec(variant, k=k, q=1.0)
+            assert not bitboard_reaches_far_edge(spec, 9, 1)
+            assert not bitboard_reaches_far_edge(spec, 1, 1)  # no far edge at L = 1
+
+    def test_row_end_does_not_wrap(self):
+        # (0, 1) and the far cell (L-1, 0) are adjacent bits of the row-major
+        # board, but further apart in the window than any rule reaches
+        L = 8
+        bits = np.zeros((L, L), dtype=bool)
+        bits[0:2, 0] = True
+        bits[0, L - 1] = True
+        for variant, k in _LOCAL_SPECS:
+            spec = ModelSpec(variant, k=k, q=0.5)
+            assert not bitboard_reaches_far_edge(spec, L, _pack(bits))
+
+    def test_rejects_global(self):
+        with pytest.raises(ValueError):
+            bitboard_reaches_far_edge(ModelSpec(Variant.GLOBAL_K, k=2, q=0.5), 4, 1)
 
 
 class TestGrowthSequence:
