@@ -135,9 +135,13 @@ def _cmd_simulate(args):
 
 def _cmd_events(args):
     if args.events_cmd == "verify":
-        report = growth_events.verify_growth_guarantee(
-            args.k, trials=args.trials, seed=args.seed, q=args.q
-        )
+        try:
+            report = growth_events.verify_growth_guarantee(
+                args.k, trials=args.trials, seed=args.seed, q=args.q
+            )
+        except ValueError as exc:  # bad --k/--trials/--q, rejected before any trial
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         payload = {
             "k": args.k,
             "trials": args.trials,

@@ -39,15 +39,18 @@ window edge).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .gap_process import GapProcess, rho_exact
 from .special_fn import fk_eval
-from .lattice import CellState, Lattice, ModelSpec, Variant, run_to_fixpoint, to_text
+from .lattice import (
+    CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, run_to_fixpoint, to_text,
+)
 
 __all__ = [
     "StairGeometry",
@@ -325,8 +328,17 @@ class EventChain:
     def block_cells(self) -> List[Cell]:
         return [(x, y) for x in range(self.k) for y in range(self.k)]
 
-    def fixed_cells(self) -> List[Tuple[Cell, int, str]]:
+    def fixed_cells(self) -> Tuple[Tuple[Cell, int, str], ...]:
         """Cells with a directly-forced state: the block, corners, and turn cells."""
+        return self._fixed_cells
+
+    def components(self) -> Tuple[Tuple[object, str], ...]:
+        """(geometry, kind) for every nondegenerate D/J constituent."""
+        return self._components
+
+    # computed once per chain: the samplers ask for them on every trial
+    @functools.cached_property
+    def _fixed_cells(self) -> Tuple[Tuple[Cell, int, str], ...]:
         out: List[Tuple[Cell, int, str]] = []
         for cell in self.block_cells():
             state = CellState.ACTIVE if cell == (0, 0) else CellState.OCCUPIED
@@ -336,10 +348,10 @@ class EventChain:
         for geom, kind in self.components():
             if kind == "jk":
                 out.append((geom.occupied_cell, int(CellState.OCCUPIED), "turn"))
-        return out
+        return tuple(out)
 
-    def components(self):
-        """Yield (geometry, kind) for every nondegenerate D/J constituent."""
+    @functools.cached_property
+    def _components(self) -> Tuple[Tuple[object, str], ...]:
         out = []
         prev = self.k
         for a, b in self.pairs:
@@ -349,14 +361,7 @@ class EventChain:
             prev = b
         if self.L - 1 > prev:
             out.append((StairGeometry(self.k, prev, self.L - 1), "dk"))
-        return out
-
-
-def _log1mexp(x: float) -> float:
-    # log(1 - e^x) for x < 0
-    if x >= 0:
-        return -math.inf
-    return math.log(-math.expm1(x))
+        return tuple(out)
 
 
 def _sample_gap_pattern(u: Sequence[float], k: int, forced: Set[int], rng) -> List[bool]:
@@ -373,15 +378,15 @@ def _sample_gap_pattern(u: Sequence[float], k: int, forced: Set[int], rng) -> Li
         for i in range(n)
     ]
     NEG = -math.inf
-    suffix = np.zeros((n + 1, k))
+    # plain lists: the table is read one element at a time
+    suffix = [[0.0] * k for _ in range(n + 1)]
     for j in range(n - 1, -1, -1):
+        nxt, row = suffix[j + 1], suffix[j]
         for r in range(k):
-            succ = log_u[j] + suffix[j + 1][0]
-            fail = NEG if r + 1 >= k else log_1mu[j] + suffix[j + 1][r + 1]
+            succ = log_u[j] + nxt[0]
+            fail = NEG if r + 1 >= k else log_1mu[j] + nxt[r + 1]
             hi = max(succ, fail)
-            suffix[j][r] = hi if hi == NEG else hi + math.log(
-                math.exp(succ - hi) + math.exp(fail - hi)
-            )
+            row[r] = hi if hi == NEG else hi + math.log(math.exp(succ - hi) + math.exp(fail - hi))
     if suffix[0][0] == NEG:
         raise ValueError("conditioning event has probability zero")
     out = []
@@ -443,6 +448,7 @@ def sample_conditioned(
 
     fixed = {cell: state for cell, state, _ in chain.fixed_cells()}
     fixed_occupied = {c for c, s, _ in chain.fixed_cells() if s != CellState.EMPTY}
+    skip = set(fixed)
 
     def fill_family(labels, cells_of, u):
         forced = {
@@ -452,7 +458,7 @@ def sample_conditioned(
         for i, l in enumerate(labels):
             _sample_line(
                 grid, cells_of(l), statuses[i], q, rng,
-                skip=set(fixed), already_nonempty=i in forced,
+                skip=skip, already_nonempty=i in forced,
             )
 
     for geom, kind in chain.components():
@@ -460,20 +466,13 @@ def sample_conditioned(
             fill_family(list(geom.labels), geom.column_cells, geom.u_values(q))
             fill_family(list(geom.labels), geom.row_cells, geom.u_values(q))
         else:
-            for label, cells in (
-                (geom.a + 1, geom.column_cells(geom.a + 1)),
-                (geom.b, geom.column_cells(geom.b)),
-            ):
-                already = any(c in fixed_occupied for c in cells)
-                _sample_line(grid, cells, True, q, rng, set(fixed), already)
-            for label, cells in (
-                (geom.a + 1, geom.row_cells(geom.a + 1)),
-                (geom.b, geom.row_cells(geom.b)),
-            ):
-                already = any(c in fixed_occupied for c in cells)
-                _sample_line(grid, cells, True, q, rng, set(fixed), already)
+            for cells_of in (geom.column_cells, geom.row_cells):
+                for label in (geom.a + 1, geom.b):
+                    cells = cells_of(label)
+                    already = any(c in fixed_occupied for c in cells)
+                    _sample_line(grid, cells, True, q, rng, skip, already)
             for l in geom.empty_rows:
-                _sample_line(grid, geom.row_cells(l), False, q, rng, set(fixed), False)
+                _sample_line(grid, geom.row_cells(l), False, q, rng, skip, False)
             fill_family(list(geom.gap_family_columns), geom.column_cells, geom.column_u_values(q))
             fill_family(list(geom.gap_family_rows), geom.row_cells, geom.row_u_values(q))
 
@@ -532,20 +531,6 @@ def validate_chain(lattice: Lattice, chain: EventChain) -> List[str]:
 # --- growth-guarantee verification ------------------------------------------
 
 
-def _model_for(k: int, variant: Optional[Variant], q: float) -> ModelSpec:
-    if variant is None:
-        variant = Variant.LOCAL_K if k >= 2 else Variant.LOCAL_MODIFIED
-    return ModelSpec(variant=variant, k=k, q=q)
-
-
-def _force_rectangle(grid: np.ndarray, w: int, h: int):
-    grid[:h, :w] = CellState.ACTIVE
-
-
-def _contains_square(lat: Lattice, side: int) -> bool:
-    return bool(np.all(lat.cells[:side, :side] == CellState.ACTIVE))
-
-
 @dataclass
 class CaseResult:
     kind: str
@@ -588,66 +573,93 @@ def _place_sparse(grid: np.ndarray, cells: List[Cell], rng):
     grid[y, x] = CellState.OCCUPIED
 
 
-def _dk_trial(k, variant, a, b, q, seed) -> Optional[Lattice]:
-    """One adversarial D_k trial; returns the lattice on violation."""
-    geom = StairGeometry(k, a, b)
+def _place_family(grid: np.ndarray, labels, cells_of, u, k: int, rng):
+    """Gap-free statuses for a line family, then one sparse cell per nonempty line."""
+    statuses = _sample_gap_pattern(list(u), k, set(), rng)
+    for label, status in zip(labels, statuses):
+        if status:
+            _place_sparse(grid, cells_of(label), rng)
+
+
+def _stair_trial(geom: StairGeometry, q: float, seed: int) -> Lattice:
+    """An adversarial D_k(a, b) trial: sparse lines on an empty window, R(a, a) Active."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    w = b + 1
+    w = geom.b + 1
     grid = np.zeros((w, w), dtype=np.uint8)
-
-    def fill(cells_of):
-        statuses = _sample_gap_pattern(list(geom.u_values(q)), k, set(), rng)
-        for i, l in enumerate(geom.labels):
-            if statuses[i]:
-                _place_sparse(grid, cells_of(l), rng)
-
-    fill(geom.column_cells)
-    fill(geom.row_cells)
-    _force_rectangle(grid, a, a)
-    lat = Lattice(cells=grid, origin=(0, 0))
-    fixed, _, converged = run_to_fixpoint(lat, _model_for(k, variant, q))
-    assert converged
-    if not _contains_square(fixed, b - k + 1):
-        return fixed
-    return None
+    _place_family(grid, geom.labels, geom.column_cells, geom.u_values(q), geom.k, rng)
+    _place_family(grid, geom.labels, geom.row_cells, geom.u_values(q), geom.k, rng)
+    grid[: geom.a, : geom.a] = CellState.ACTIVE
+    return Lattice(cells=grid, origin=(0, 0))
 
 
-def _jk_trial(k, variant, a, b, q, seed, s_dev, t_dev) -> Optional[Lattice]:
-    geom = SkewGeometry(k, a, b)
+def _skew_trial(geom: SkewGeometry, q: float, dev: int, seed: int) -> Lattice:
+    """An adversarial J_k(a, b) trial with R(a - dev, a - dev) Active."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    w = b + 1
-    grid = np.zeros((w, w), dtype=np.uint8)
+    a, b = geom.a, geom.b
+    grid = np.zeros((b + 1, b + 1), dtype=np.uint8)
     for label in (a + 1, b):
         _place_sparse(grid, geom.column_cells(label), rng)
         _place_sparse(grid, geom.row_cells(label), rng)
     ox, oy = geom.occupied_cell
     grid[oy, ox] = CellState.OCCUPIED
-    for labels, cells_of, u in (
-        (geom.gap_family_columns, geom.column_cells, geom.column_u_values(q)),
-        (geom.gap_family_rows, geom.row_cells, geom.row_u_values(q)),
-    ):
-        labels = list(labels)
-        if labels:
-            statuses = _sample_gap_pattern(list(u), k, set(), rng)
-            for i, l in enumerate(labels):
-                if statuses[i]:
-                    _place_sparse(grid, cells_of(l), rng)
-    _force_rectangle(grid, a - s_dev, a - t_dev)
-    lat = Lattice(cells=grid, origin=(0, 0))
-    fixed, _, converged = run_to_fixpoint(lat, _model_for(k, variant, q))
-    assert converged
-    if not _contains_square(fixed, b):
-        return fixed
-    return None
+    _place_family(grid, geom.gap_family_columns, geom.column_cells, geom.column_u_values(q),
+                  geom.k, rng)
+    _place_family(grid, geom.gap_family_rows, geom.row_cells, geom.row_u_values(q), geom.k, rng)
+    grid[: a - dev, : a - dev] = CellState.ACTIVE
+    return Lattice(cells=grid, origin=(0, 0))
 
 
-def _ek_trial(chain: EventChain, variant, q, seed) -> Optional[Lattice]:
-    lat = sample_conditioned(chain, q, seed, background="empty")
-    fixed, _, converged = run_to_fixpoint(lat, _model_for(chain.k, variant, q))
-    assert converged
-    if not _contains_square(fixed, chain.L - 1):
-        return fixed
-    return None
+def _growth_cases(k: int, q: float) -> list:
+    """The D_k, J_k and E_k cases of `verify_growth_guarantee`, in report order.
+
+    Each is (kind, a, b, seed stride, trial configuration from seed, side
+    of the square R(side, side) that must fill).
+    """
+    base = max(k, 4)
+    cases = []
+    for a, b in ((base, base + 5), (base + 2, base + 9)):
+        geom = StairGeometry(k, a, b)
+        cases.append(("dk", a, b, 1_000_003, functools.partial(_stair_trial, geom, q), b - k + 1))
+    # the last pair has b - a = k + 2, the smallest legal skew
+    for a, b in ((2 * k + 2, 3 * k + 6), (2 * k + 4, 3 * k + 10), (2 * k + 2, 3 * k + 4)):
+        geom = SkewGeometry(k, a, b)
+        for dev in (0, k - 1):
+            build = functools.partial(_skew_trial, geom, q, dev)
+            cases.append((f"jk[s={dev},t={dev}]", a, b, 7_000_003, build, b))
+    L = 4 * k + 18
+    for pairs in (((k + 2, 2 * k + 5),), ((k + 3, 2 * k + 6), (2 * k + 8, 3 * k + 11))):
+        chain = EventChain(k, L, pairs)
+        build = functools.partial(sample_conditioned, chain, q, background="empty")
+        cases.append(("ek", pairs[0][0], pairs[-1][1], 13_000_003, build, L - 1))
+    return cases
+
+
+def _run_case(res: CaseResult, model: ModelSpec, build: Callable[[int], Lattice], side: int,
+              seeds: Iterable[int]) -> CaseResult:
+    """Count the trials whose closure leaves R(side, side) short of Active.
+
+    The bitboard closure decides each trial, stopping once the square is
+    filled.  A trial it fails is run again through `run_to_fixpoint`, which
+    gives the counterexample snapshot and cross-checks the verdict.
+    """
+    for seed in seeds:
+        lat = build(seed)
+        L, cells = lat.width, lat.cells.reshape(-1)
+        square = sum(((1 << side) - 1) << (y * L) for y in range(side))  # R(side, side)
+        active = bitboard_closure(model, L, pack_board(cells == CellState.ACTIVE),
+                                  pack_board(cells == CellState.OCCUPIED),
+                                  stop=lambda board: board & square == square)
+        if active & square == square:
+            continue
+        fixed, _, converged = run_to_fixpoint(lat, model)
+        if not converged or np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
+            raise AssertionError(
+                f"bitboard closure and run_to_fixpoint disagree on {res.kind} seed {seed}"
+            )
+        res.violations += 1
+        if res.counterexample is None:
+            res.counterexample = to_text(fixed)
+    return res
 
 
 def verify_growth_guarantee(
@@ -668,51 +680,21 @@ def verify_growth_guarantee(
     state, the adversarial worst case for the deterministic claim.
     Violations are counted, with the first counterexample snapshot kept.
     """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
     variants = [variant] if variant is not None else (
         [Variant.LOCAL_K] if k >= 2 else [Variant.LOCAL_MODIFIED, Variant.LOCAL_FROBOSE]
     )
+    cases = _growth_cases(k, q)
     report = GrowthReport()
-    dk_params = [(max(k, 4), max(k, 4) + 5), (max(k, 4) + 2, max(k, 4) + 9)]
-    jk_params = [(2 * k + 2, 3 * k + 6), (2 * k + 4, 3 * k + 10)]
-    minimal = (2 * k + 2, 3 * k + 4)  # b - a = k + 2, the smallest legal skew
-    if minimal not in jk_params:
-        jk_params.append(minimal)
-
     for var in variants:
-        vname = var.value if var else ""
-        for a, b in dk_params:
-            res = CaseResult("dk", k, vname, a, b, trials, 0)
-            for t in range(trials):
-                bad = _dk_trial(k, var, a, b, q, seed * 1_000_003 + t)
-                if bad is not None:
-                    res.violations += 1
-                    if res.counterexample is None:
-                        res.counterexample = to_text(bad)
-            report.cases.append(res)
-        for a, b in jk_params:
-            for s_dev, t_dev in ((0, 0), (k - 1, k - 1)):
-                res = CaseResult(f"jk[s={s_dev},t={t_dev}]", k, vname, a, b, trials, 0)
-                for t in range(trials):
-                    bad = _jk_trial(k, var, a, b, q, seed * 7_000_003 + t, s_dev, t_dev)
-                    if bad is not None:
-                        res.violations += 1
-                        if res.counterexample is None:
-                            res.counterexample = to_text(bad)
-                report.cases.append(res)
-        L = 4 * k + 18
-        chains = [
-            EventChain(k, L, ((k + 2, 2 * k + 5),)),
-            EventChain(k, L, ((k + 3, 2 * k + 6), (2 * k + 8, 3 * k + 11))),
-        ]
-        for chain in chains:
-            res = CaseResult("ek", k, vname, chain.pairs[0][0], chain.pairs[-1][1], trials, 0)
-            for t in range(trials):
-                bad = _ek_trial(chain, var, q, seed * 13_000_003 + t)
-                if bad is not None:
-                    res.violations += 1
-                    if res.counterexample is None:
-                        res.counterexample = to_text(bad)
-            report.cases.append(res)
+        model = ModelSpec(variant=var, k=k, q=q)
+        for kind, a, b, stride, build, side in cases:
+            res = CaseResult(kind, k, var.value, a, b, trials, 0)
+            first = seed * stride
+            report.cases.append(_run_case(res, model, build, side, range(first, first + trials)))
     return report

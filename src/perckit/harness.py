@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gap_process import prob_ak, prob_ak_log_bounds
-from .lattice import ModelSpec, Variant, bitboard_reaches_far_edge
+from .lattice import ModelSpec, Variant, bitboard_reaches_far_edge, pack_board
 from .rng import derive_seed, trial_generator
 from .special_fn import lambda_k
 
@@ -167,8 +167,7 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
         # the rest are drawn only when the origin is nonempty.
         if rng.random() >= p_active:
             continue  # origin empty: nothing ever grows
-        rest = np.packbits(rng.random(L * L - 1) < p_active, bitorder="little")
-        nonempty = int.from_bytes(rest.tobytes(), "little") << 1 | 1
+        nonempty = pack_board(rng.random(L * L - 1) < p_active) << 1 | 1
         successes += bitboard_reaches_far_edge(spec, L, nonempty)
     return successes
 
@@ -336,8 +335,9 @@ def trend_check_theorem1(
         slope, intercept = np.polyfit(x, y, 1)
         fit = slope * x + intercept
         residuals = list(y - fit)
+        # the envelope vanishes at s = 1 and is complex beyond: NaN there
         ratios = [
-            abs(r) / (s ** -0.5 * math.log(1.0 / s) ** 2.5)
+            abs(r) / (s ** -0.5 * math.log(1.0 / s) ** 2.5) if math.log(1.0 / s) > 0 else math.nan
             for r, s in zip(residuals, s_values)
         ]
     return TrendReport(

@@ -28,11 +28,16 @@ as uint8 arrays indexed [y, x].
 
 Two engines compute the same closure.  `step` / `run_to_fixpoint` /
 `reaches_boundary` work on a `Lattice` with shifted numpy arrays; they
-serve `simulate`, the growth-event checks, and the tests as the oracle,
-with `step_reference` (a deliberately naive per-cell step) as the oracle
-for `step` itself.  `bitboard_reaches_far_edge` is the Monte Carlo path
-that `harness` uses for boundary-reach trials: the window packed into
-Python-int bitboards, each generation a few dozen shifts, ANDs and ORs.
+serve `simulate`, the counterexample snapshots of the growth-event
+checks, and the tests as the oracle, with `step_reference` (a
+deliberately naive per-cell step) as the oracle for `step` itself.
+`bitboard_closure` is the Monte Carlo path for the local variants: the
+window packed into Python-int bitboards, each generation a few dozen
+shifts, ANDs and ORs, from any Active start set, with an optional stop
+test after each generation.  `harness` runs its boundary-reach trials
+through `bitboard_reaches_far_edge` (stop at the first far-edge
+activation), and `growth_events` its D_k/J_k/E_k trials (stop once the
+target square is Active).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import enum
 import functools
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +61,8 @@ __all__ = [
     "run_to_fixpoint",
     "spans",
     "reaches_boundary",
+    "pack_board",
+    "bitboard_closure",
     "bitboard_reaches_far_edge",
     "extract_growth_sequence",
     "is_good_configuration",
@@ -453,6 +460,8 @@ def _board_masks(L: int, reach: int) -> Tuple[int, int, List[int], List[int]]:
     may land in; masking with them drops the bits that the row-major shift
     carries across a row end instead of out of the window.
     """
+    if L < 1:
+        raise ValueError("L must be >= 1")
     full = (1 << (L * L)) - 1
     first_column = full // ((1 << L) - 1)  # bit y*L of every row y
     row = (1 << L) - 1
@@ -462,14 +471,24 @@ def _board_masks(L: int, reach: int) -> Tuple[int, int, List[int], List[int]]:
     return full, far, plus, minus
 
 
-def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
-    """Whether the localized closure from an Active origin at (0, 0) reaches a far edge.
+def pack_board(mask: np.ndarray) -> int:
+    """A boolean array as a Python int, element i at bit i (row-major for a grid)."""
+    return int.from_bytes(np.packbits(mask, axis=None, bitorder="little").tobytes(), "little")
 
-    The L x L window is packed row-major into Python ints, bit y*L + x for
-    cell (x, y).  `nonempty` marks the nonempty cells; the origin (bit 0)
-    is Active and every other nonempty cell Occupied.  Each synchronous
-    generation applies the rule to whole boards (Active, Occupied-not-
-    active, Empty):
+
+def bitboard_closure(
+    spec: ModelSpec,
+    L: int,
+    active: int,
+    occupied: int,
+    stop: Optional[Callable[[int], object]] = None,
+) -> int:
+    """The Active board of the localized closure on an L x L window.
+
+    The window is packed row-major into Python ints, bit y*L + x for cell
+    (x, y) (see `pack_board`).  `active` and `occupied` are the start
+    boards; every other cell is Empty.  Each synchronous generation applies
+    the rule to whole boards (Active, Occupied-not-active, Empty):
 
     * local k: an Occupied cell fires when the l1 ball of radius k around
       it holds an Active cell (k dilations by the l1 unit ball); an Empty
@@ -477,26 +496,19 @@ def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
       neighbours, counted by a saturating bit-sliced counter;
     * modified and Frobose: boolean algebra on the shifted boards.
 
-    The answer equals `reaches_boundary` after `run_to_fixpoint` on the
-    same window, and two facts let the loop stop early:
-
-    * Reach equals far-edge activity.  In a localized model every Active
-      cell is joined to the origin through the influence neighbourhood
-      (each activation is triggered by Active cells within it), so the
-      cluster reaches a far edge iff some far-edge cell is Active.  The far
-      edges are the top row and the right column; edges through the origin
-      do not count, so at L = 1 there is no far cell.
-    * Early stop.  The rules are monotone, so the trial succeeds as soon
-      as one generation activates a far-edge cell, and fails as soon as
-      one activates nothing.  Every generation before that activates at
-      least one of the L*L cells, so no step budget is needed.
+    Without `stop` the result is the Active set of `run_to_fixpoint` on
+    the same window.  `stop(active)` is tested on the start board and
+    after every generation, and ends the loop once true.  The rules are
+    monotone, so for a test that stays true once it holds (some cell of a
+    set Active, every cell of a set Active) the test reads the same on the
+    returned board as on the fixpoint.  The loop also ends at the first
+    generation that activates nothing; every generation before that
+    activates at least one of the L*L cells, so no step budget is needed.
     """
     variant, k = spec.variant, spec.k
     if not spec.is_local:
         raise ValueError("the bitboard closure needs a localized model variant")
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    full, far, plus, minus = _board_masks(L, max(k - 1, 1))
+    full, _, plus, minus = _board_masks(L, max(k - 1, 1))
 
     def shift(board, dx, dy):
         """board translated by (dx, dy); cells leaving the window are dropped."""
@@ -510,10 +522,10 @@ def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
             board >>= -dy * L
         return board
 
-    active = 1
-    occupied = nonempty & full & ~1
-    empty = full & ~nonempty
-    while True:
+    active &= full
+    occupied &= full & ~active
+    empty = full & ~(active | occupied)
+    while stop is None or not stop(active):
         if variant is Variant.LOCAL_K:
             ball = active
             for _ in range(k):
@@ -542,12 +554,31 @@ def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
                     fire |= (up & side & shift(side, 0, 1)) | (down & side & shift(side, 0, -1))
             new = (occupied & near) | (empty & fire)
         if not new:
-            return False
-        if new & far:
-            return True
+            break
         active |= new
         occupied &= ~new
         empty &= ~new
+    return active
+
+
+def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
+    """Whether the localized closure from an Active origin at (0, 0) reaches a far edge.
+
+    `nonempty` marks the nonempty cells of the packed window (see
+    `bitboard_closure`); the origin (bit 0) is Active and every other
+    nonempty cell Occupied.  The answer equals `reaches_boundary` after
+    `run_to_fixpoint` on the same window, because reach equals far-edge
+    activity: in a localized model every Active cell is joined to the
+    origin through the influence neighbourhood (each activation is
+    triggered by Active cells within it), so the cluster reaches a far edge
+    iff some far-edge cell is Active.  The far edges are the top row and
+    the right column; edges through the origin do not count, so at L = 1
+    there is no far cell.  The closure stops at the first generation that
+    activates a far-edge cell.
+    """
+    far = _board_masks(L, max(spec.k - 1, 1))[1]
+    active = bitboard_closure(spec, L, 1, nonempty & ~1, stop=lambda board: board & far)
+    return bool(active & far)
 
 
 # --- rectangle growth sequences -------------------------------------------

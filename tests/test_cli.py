@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,21 @@ import pytest
 from perckit.cli import main
 from perckit.lattice import read_snapshot
 from perckit.special_fn import fk_eval, lambda_k
+
+
+# (kind, a, b) of every `events verify` case per k, in output order
+_VERIFY_CASES = {
+    1: [("dk", 4, 9), ("dk", 6, 13), ("jk[s=0,t=0]", 4, 9), ("jk[s=0,t=0]", 4, 9),
+        ("jk[s=0,t=0]", 6, 13), ("jk[s=0,t=0]", 6, 13), ("jk[s=0,t=0]", 4, 7),
+        ("jk[s=0,t=0]", 4, 7), ("ek", 3, 7), ("ek", 4, 14)],
+    2: [("dk", 4, 9), ("dk", 6, 13), ("jk[s=0,t=0]", 6, 12), ("jk[s=1,t=1]", 6, 12),
+        ("jk[s=0,t=0]", 8, 16), ("jk[s=1,t=1]", 8, 16), ("jk[s=0,t=0]", 6, 10),
+        ("jk[s=1,t=1]", 6, 10), ("ek", 4, 9), ("ek", 5, 17)],
+    3: [("dk", 4, 9), ("dk", 6, 13), ("jk[s=0,t=0]", 8, 15), ("jk[s=2,t=2]", 8, 15),
+        ("jk[s=0,t=0]", 10, 19), ("jk[s=2,t=2]", 10, 19), ("jk[s=0,t=0]", 8, 13),
+        ("jk[s=2,t=2]", 8, 13), ("ek", 5, 11), ("ek", 6, 20)],
+}
+_VERIFY_VARIANTS = {1: ["modified", "frobose"], 2: ["local"], 3: ["local"]}
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +139,32 @@ class TestSimulationCommands:
         assert code == 0
         assert json.loads(out)["total_violations"] == 0
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_events_verify_pinned_json(self, capsys, k):
+        code, out, _ = run_cli(
+            capsys, "events", "verify", "--k", str(k), "--trials", "4", "--seed", "3",
+        )
+        cases = [
+            {"kind": kind, "variant": variant, "a": a, "b": b, "violations": 0,
+             "counterexample": None}
+            for variant in _VERIFY_VARIANTS[k]
+            for kind, a, b in _VERIFY_CASES[k]
+        ]
+        payload = {"k": k, "trials": 4, "total_violations": 0, "cases": cases}
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [
+        ["--q", "0.0"], ["--q", "1.0"], ["--q", "1.5"], ["--trials", "0"], ["--k", "0"],
+    ])
+    def test_events_verify_rejects_bad_input(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "events", "verify", "--k", "2", "--trials", "3", "--seed", "1", *bad,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_scan_stdout_and_config(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "scan", "--model", "local", "--k", "2", "--q", "0.6", "--L", "10",
@@ -189,6 +231,20 @@ class TestSimulationCommands:
         rows = json.loads(out)
         assert len(rows) == 4
         assert all(r["inside_lower"] for r in rows)
+
+    @pytest.mark.parametrize("k,s_grid,finite", [(3, ["1.0", "0.8"], [False, True]),
+                                                 (2, ["2.0", "1.5"], [False, False])])
+    def test_trend_envelope_nan_at_s_one_and_above(self, capsys, k, s_grid, finite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "trend", "--k", str(k), "--s", *s_grid, "--trials", "200", "--seed", "1",
+            )
+        assert code == 0 and err == ""
+        assert "Infinity" not in out
+        data = json.loads(out)
+        assert not data["degenerate"]
+        assert [math.isfinite(r) for r in data["envelope_ratios"]] == finite
 
     def test_trend(self, capsys):
         code, out, _ = run_cli(

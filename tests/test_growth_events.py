@@ -1,12 +1,15 @@
 """Tests for the diagonal/skew growth events and their probabilities."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from perckit import growth_events
 from perckit.gap_process import GapProcess, rho_exact
 from perckit.growth_events import (
+    CaseResult,
     EventChain,
     SkewGeometry,
     StairGeometry,
@@ -17,8 +20,10 @@ from perckit.growth_events import (
     sample_conditioned,
     validate_chain,
     verify_growth_guarantee,
+    _run_case,
+    _sample_gap_pattern,
 )
-from perckit.lattice import CellState, Lattice, ModelSpec, Variant, run_to_fixpoint
+from perckit.lattice import CellState, Lattice, ModelSpec, Variant, run_to_fixpoint, to_text
 
 E, O, A = CellState.EMPTY, CellState.OCCUPIED, CellState.ACTIVE
 
@@ -293,3 +298,131 @@ class TestGrowthGuarantee:
             assert converged
             side = chain.L - 1
             assert np.all(fixed.cells[:side, :side] == A)
+
+
+def _gap_pattern_numpy(u, k, forced, rng):
+    """`_sample_gap_pattern` as it was written with a numpy backward table."""
+    n = len(u)
+    log_u = [0.0 if i in forced else (math.log(u[i]) if u[i] > 0 else -math.inf) for i in range(n)]
+    log_1mu = [
+        -math.inf if i in forced else (math.log1p(-u[i]) if u[i] < 1 else -math.inf)
+        for i in range(n)
+    ]
+    NEG = -math.inf
+    suffix = np.zeros((n + 1, k))
+    for j in range(n - 1, -1, -1):
+        for r in range(k):
+            succ = log_u[j] + suffix[j + 1][0]
+            fail = NEG if r + 1 >= k else log_1mu[j] + suffix[j + 1][r + 1]
+            hi = max(succ, fail)
+            suffix[j][r] = hi if hi == NEG else hi + math.log(
+                math.exp(succ - hi) + math.exp(fail - hi)
+            )
+    if suffix[0][0] == NEG:
+        raise ValueError("conditioning event has probability zero")
+    out = []
+    r = 0
+    for j in range(n):
+        log_p1 = log_u[j] + suffix[j + 1][0] - suffix[j][r]
+        occur = math.log(max(rng.random(), 1e-300)) < log_p1
+        out.append(bool(occur))
+        r = 0 if occur else r + 1
+    return out
+
+
+class TestGapPattern:
+    def test_same_draws_as_the_numpy_table(self):
+        gen = np.random.default_rng(12)
+        for case in range(400):
+            k = int(gen.integers(1, 6))
+            n = int(gen.integers(0, 30))
+            u = gen.random(n)
+            pick = gen.random(n)
+            u[pick < 0.15] = 1.0 - 0.5**40  # a line that is empty about once in 10^12
+            u[pick < 0.1] = 1.0
+            u[pick < 0.05] = 0.0
+            u = list(u)
+            forced = {int(i) for i in np.flatnonzero(gen.random(n) < 0.1)}
+            results = []
+            for sampler in (_sample_gap_pattern, _gap_pattern_numpy):
+                rng = np.random.Generator(np.random.Philox(key=case))
+                try:
+                    results.append((sampler(u, k, forced, rng), rng.random()))
+                except ValueError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+
+
+def _planted_trial(width, height, seed):
+    """Fully occupied 8 x 8 windows, except that at seed 3 only R(width, height) is occupied."""
+    cells = np.full((8, 8), O, dtype=np.uint8)
+    if seed == 3:
+        cells[:, width:] = cells[height:, :] = E
+    cells[0, 0] = A
+    return Lattice(cells=cells)
+
+
+class TestTrialRunner:
+    model = ModelSpec(Variant.LOCAL_K, k=2, q=0.5)
+
+    @pytest.mark.parametrize("width,height", [(6, 6), (7, 6), (6, 7)])
+    def test_planted_violation_reports_the_oracle_snapshot(self, width, height):
+        build = functools.partial(_planted_trial, width, height)
+        res = _run_case(CaseResult("dk", 2, "local", 4, 9, 6, 0), self.model, build,
+                        side=7, seeds=range(6))
+        assert res.violations == 1
+        fixed, _, _ = run_to_fixpoint(build(3), self.model)
+        assert res.counterexample == to_text(fixed)
+        assert res.counterexample.count("A") == width * height
+
+    def test_first_counterexample_is_kept(self):
+        def build(seed):
+            return _planted_trial(6 if seed == 3 else 5, 6, min(seed, 3))
+
+        res = _run_case(CaseResult("dk", 2, "local", 4, 9, 6, 0), self.model, build,
+                        side=7, seeds=range(6))
+        assert res.violations == 3
+        assert res.counterexample.count("A") == 36
+
+    def test_case_table_seeds_and_squares(self, monkeypatch):
+        calls = []
+
+        def record(res, model, build, side, seeds):
+            calls.append((res.kind, res.a, res.b, side, seeds))
+            return res
+
+        monkeypatch.setattr(growth_events, "_run_case", record)
+        verify_growth_guarantee(2, trials=3, seed=5, q=0.5)
+        dk, jk, ek = (
+            range(5 * stride, 5 * stride + 3) for stride in (1_000_003, 7_000_003, 13_000_003)
+        )
+        assert calls == [
+            ("dk", 4, 9, 8, dk), ("dk", 6, 13, 12, dk),
+            ("jk[s=0,t=0]", 6, 12, 12, jk), ("jk[s=1,t=1]", 6, 12, 12, jk),
+            ("jk[s=0,t=0]", 8, 16, 16, jk), ("jk[s=1,t=1]", 8, 16, 16, jk),
+            ("jk[s=0,t=0]", 6, 10, 10, jk), ("jk[s=1,t=1]", 6, 10, 10, jk),
+            ("ek", 4, 9, 25, ek), ("ek", 5, 17, 25, ek),
+        ]
+
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(growth_events, "bitboard_closure", lambda *args, **kwargs: 0)
+        build = functools.partial(_planted_trial, 6, 6)
+        with pytest.raises(AssertionError, match="disagree"):
+            _run_case(CaseResult("dk", 2, "local", 4, 9, 1, 0), self.model, build,
+                      side=7, seeds=[0])
+
+    @pytest.mark.parametrize("kwargs", [{"q": 0.0}, {"q": 1.0}, {"q": 1.5}, {"q": math.nan},
+                                        {"trials": 0}, {"k": 0}])
+    def test_bad_input_rejected_before_any_trial(self, kwargs, monkeypatch):
+        monkeypatch.setattr(growth_events, "_run_case", None)  # any trial would fail loudly
+        args = {"k": 2, "trials": 3, "seed": 1, "q": 0.5, **kwargs}
+        with pytest.raises(ValueError):
+            verify_growth_guarantee(**args)
+
+
+class TestChainCaching:
+    def test_geometry_built_once(self):
+        chain = EventChain(2, 26, ((4, 9), (12, 17)))
+        assert chain.components() is chain.components()
+        assert chain.fixed_cells() is chain.fixed_cells()
+        assert chain == EventChain(2, 26, ((4, 9), (12, 17)))

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perckit.lattice import (
     CellState,
     Lattice,
     ModelSpec,
     Variant,
+    bitboard_closure,
     bitboard_reaches_far_edge,
     extract_growth_sequence,
     from_text,
@@ -334,6 +337,63 @@ class TestBitboardClosure:
     def test_rejects_global(self):
         with pytest.raises(ValueError):
             bitboard_reaches_far_edge(ModelSpec(Variant.GLOBAL_K, k=2, q=0.5), 4, 1)
+        with pytest.raises(ValueError):
+            bitboard_closure(ModelSpec(Variant.GLOBAL_K, k=2, q=0.5), 4, 1, 0)
+
+
+@st.composite
+def _closure_windows(draw):
+    """(spec, cells, side): a random window with a random or rectangular Active start set."""
+    variant, k = draw(st.sampled_from(_LOCAL_SPECS))
+    L = draw(st.integers(1, 40))
+    # the endpoints, anything, and the range where growth is near critical
+    q = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(0.3, 0.9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.where(rng.random((L, L)) < 1.0 - q, np.uint8(O), np.uint8(E))
+    if draw(st.booleans()):  # a forced Active rectangle at the origin
+        cells[: draw(st.integers(1, L)), : draw(st.integers(1, L))] = A
+    else:
+        cells[rng.random((L, L)) < draw(st.floats(0.0, 0.1))] = A
+    return ModelSpec(variant, k=k, q=q), cells, draw(st.integers(1, L))
+
+
+class TestGeneralClosure:
+    @given(_closure_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_run_to_fixpoint(self, window):
+        spec, cells, side = window
+        L = cells.shape[0]
+        fixed, _, _ = run_to_fixpoint(Lattice(cells=cells), spec)
+        active = fixed.cells == A
+        start = (_pack(cells == A), _pack(cells == O))
+        assert bitboard_closure(spec, L, *start) == _pack(active)
+
+        in_square = np.zeros((L, L), dtype=bool)
+        in_square[:side, :side] = True
+        square = _pack(in_square)
+        board = bitboard_closure(spec, L, *start, stop=lambda b: b & square == square)
+        assert (board & square == square) == bool(active[in_square].all())
+
+        on_far_edge = np.zeros((L, L), dtype=bool)
+        if L > 1:
+            on_far_edge[L - 1, :] = on_far_edge[:, L - 1] = True
+        far = _pack(on_far_edge)
+        board = bitboard_closure(spec, L, *start, stop=lambda b: b & far)
+        assert bool(board & far) == bool(active[on_far_edge].any())
+
+    def test_stops_once_the_test_holds(self):
+        # a fully occupied row grows one cell a generation under the
+        # modified rule; stopping at (3, 0) leaves (4, 0) untouched
+        spec = ModelSpec(Variant.LOCAL_MODIFIED, k=1, q=0.5)
+        L = 8
+        cells = np.zeros((L, L), dtype=np.uint8)
+        cells[0, :] = O
+        cells[0, 0] = A
+        target = 1 << 3
+        board = bitboard_closure(spec, L, _pack(cells == A), _pack(cells == O),
+                                 stop=lambda b: b & target)
+        assert board == 0b1111
+        assert bitboard_closure(spec, L, _pack(cells == A), _pack(cells == O)) == 0xFF
 
 
 class TestGrowthSequence:
