@@ -10,7 +10,6 @@ constructions behind the metastability lower bounds.
 
 from .special_fn import (
     FkEvaluator,
-    LambdaK,
     fk_eval,
     gk_eval,
     gk_derivative,
@@ -26,7 +25,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "FkEvaluator",
-    "LambdaK",
     "fk_eval",
     "gk_eval",
     "gk_derivative",

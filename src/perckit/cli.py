@@ -23,6 +23,12 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _usage_error(exc: ValueError) -> int:
+    """One `error: ...` line on stderr and exit code 2, for input rejected up front."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_fk(args):
     for x in args.x:
         print(_fmt(fk_eval(args.k, x, args.tol)))
@@ -51,23 +57,29 @@ def _cmd_rho(args):
     if (args.u_file is None) == (args.s is None):
         print("error: provide exactly one of --u-file or --s", file=sys.stderr)
         return 2
-    if args.u_file is not None:
-        with open(args.u_file) as fh:
-            u = [float(tok) for tok in fh.read().split()]
-        process = GapProcess.explicit(args.k, u)
-        n = args.n if args.n is not None else len(u)
-    else:
-        if args.n is None:
-            print("error: --n is required with --s", file=sys.stderr)
-            return 2
-        process = GapProcess.parametric(args.k, args.s)
-        n = args.n
-    trace = rho_exact(process, n)
+    if args.u_file is None and args.n is None:
+        print("error: --n is required with --s", file=sys.stderr)
+        return 2
+    try:
+        if args.u_file is not None:
+            with open(args.u_file) as fh:
+                u = [float(tok) for tok in fh.read().split()]
+            process = GapProcess.explicit(args.k, u)
+            n = args.n if args.n is not None else len(u)
+        else:
+            process = GapProcess.parametric(args.k, args.s)
+            n = args.n
+        trace = rho_exact(process, n)
+    except ValueError as exc:  # bad --k/--s/--n or u values
+        return _usage_error(exc)
     print(json.dumps({"value": trace.final, "log_value": trace.log_final, "error_bound": 0.0}))
 
 
 def _cmd_pak(args):
-    res = prob_ak(args.k, args.s, args.tol)
+    try:
+        res = prob_ak(args.k, args.s, args.tol)
+    except ValueError as exc:  # bad --k/--s/--tol, or a tol the budget cannot reach
+        return _usage_error(exc)
     print(
         json.dumps(
             {"value": res.value, "log_value": res.log_value, "error_bound": res.error_bound}
@@ -76,7 +88,10 @@ def _cmd_pak(args):
 
 
 def _cmd_partitions(args):
-    table = qseries.partition_no_ksequences(args.k, args.N)
+    try:
+        table = qseries.partition_no_ksequences(args.k, args.N)
+    except ValueError as exc:  # bad --k/--N
+        return _usage_error(exc)
     if args.andrews_check:
         series = qseries.andrews_gk_series(args.k, args.N)
         bad = [n for n in range(args.N + 1) if series[n] != table[n]]
@@ -88,7 +103,10 @@ def _cmd_partitions(args):
 
 
 def _cmd_chi_identity(args):
-    lhs = qseries.g2_mock_theta_product(args.N)
+    try:
+        lhs = qseries.g2_mock_theta_product(args.N)
+    except ValueError as exc:  # negative --N
+        return _usage_error(exc)
     rhs = qseries.partition_no_ksequences(2, args.N).as_series()
     if lhs.coeffs != rhs.coeffs:
         bad = next(n for n in range(args.N + 1) if lhs[n] != rhs[n])
@@ -140,8 +158,7 @@ def _cmd_events(args):
                 args.k, trials=args.trials, seed=args.seed, q=args.q
             )
         except ValueError as exc:  # bad --k/--trials/--q, rejected before any trial
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(exc)
         payload = {
             "k": args.k,
             "trials": args.trials,
@@ -201,7 +218,10 @@ def _cmd_trend(args):
 
 
 def _cmd_sweep_pak(args):
-    rows = harness.sweep_pak_bounds(args.k, args.s, args.tol)
+    try:
+        rows = harness.sweep_pak_bounds(args.k, args.s, args.tol)
+    except ValueError as exc:  # bad --k/--s/--tol
+        return _usage_error(exc)
     out = [
         {
             "k": r.k,

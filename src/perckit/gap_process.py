@@ -8,8 +8,15 @@ conditioning on the last occurring event gives the k-term recurrence
     rho_{n+k} = sum_{i=1}^{k} rho_{n+k-i} u_{n+k-i+1}
                 prod_{j=n+k-i+2}^{n+k} (1 - u_j),
 
-with rho_0 = ... = rho_{k-1} = 1.  For monotone u the two-sided product
-bounds hold:
+with rho_0 = ... = rho_{k-1} = 1.  `rho_exact` runs it in state form:
+a_m[r] is the probability of no k-gap in 1..m with exactly r trailing
+failures, so a_m[0] = u_m sum_r a_{m-1}[r], a_m[r] = (1 - u_m) a_{m-1}[r-1]
+and rho_m = sum_r a_m[r].  Every quantity is a sum of products of
+nonnegative numbers, so the float rounding stays relative and small
+(`prob_ak` bounds it), and the k linear values are rescaled by an exact
+power of two whenever they fall below 1e-100, so log rho_m =
+log(mantissa) + e ln 2 needs no per-step log-space arithmetic.  For
+monotone u the two-sided product bounds hold:
 
     prod_{i=1}^{n} f_k(1-u_i)  <=  rho_n  <=  prod_{i=k}^{n} f_k(1-u_i),
 
@@ -27,10 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .rng import trial_generator
 from .special_fn import fk_eval, gk_eval, lambda_k
 
 __all__ = [
@@ -40,6 +48,7 @@ __all__ = [
     "PakResult",
     "MonotonicityError",
     "rho_exact",
+    "rho_rounding_bound",
     "rho_sandwich",
     "prob_ak",
     "prob_ak_bounds",
@@ -52,6 +61,15 @@ __all__ = [
 # contract (trial t always lives in chunk t // _MC_CHUNK of the keyed
 # Philox sequence, whatever the scheduling).
 _MC_CHUNK = 4096
+
+# rho_exact builds its probability tables and RhoTrace arrays this many
+# indices at a time.  Full-length Python float lists would cost tens of MiB
+# at small s, and even 4096-long chunks left about 1 MiB of freed heap that
+# raised the peak RSS of a later `prob_ak` tail sum.
+_TABLE_CHUNK = 1024
+# rho_exact rescales its state by a power of two once rho falls below this.
+_RESCALE_BELOW = 1e-100
+_LN2 = math.log(2.0)
 
 
 class MonotonicityError(ValueError):
@@ -81,9 +99,8 @@ class GapProcess:
             if any(v < 0.0 or v > 1.0 for v in vals):
                 raise ValueError("all u_i must lie in [0, 1]")
             object.__setattr__(self, "u", vals)
-        else:
-            if not (self.s > 0):
-                raise ValueError("s must be positive")
+        elif not (math.isfinite(self.s) and self.s > 0):
+            raise ValueError("s must be positive and finite")
 
     @classmethod
     def explicit(cls, k: int, u: Sequence[float]) -> "GapProcess":
@@ -106,9 +123,24 @@ class GapProcess:
             raise ValueError(f"process holds {len(self.u)} probabilities, {n} requested")
         return np.asarray(self.u[:n], dtype=float)
 
-    def log_u(self, n: int) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.probabilities(n))
+    def table_chunks(self, n: int) -> Iterator[Tuple[list, list]]:
+        """(u_i, 1 - u_i) for i = 1..n as float lists, _TABLE_CHUNK at a time.
+
+        Parametric: u_i = -expm1(-i s) and 1 - u_i = exp(-i s), one libm
+        call each on the rounded product i*s, so 1 - u_i keeps its full
+        relative accuracy when u_i is near 1.  Explicit: 1 - u_i is the
+        rounded difference (exact for u_i in {0, 1}).
+        """
+        if not self.is_parametric and n > len(self.u):
+            raise ValueError(f"process holds {len(self.u)} probabilities, {n} requested")
+        for lo in range(0, n, _TABLE_CHUNK):
+            hi = min(n, lo + _TABLE_CHUNK)
+            if self.is_parametric:
+                neg_x = (np.arange(lo + 1, hi + 1, dtype=float) * -self.s).tolist()
+                yield [-v for v in map(math.expm1, neg_x)], list(map(math.exp, neg_x))
+            else:
+                u = self.u[lo:hi]
+                yield u, [1.0 - v for v in u]
 
     def log_one_minus_u(self, n: int) -> np.ndarray:
         if self.is_parametric:
@@ -159,43 +191,62 @@ class RhoTrace:
         return float(self.log_values[-1])
 
 
-def _logsumexp(terms):
-    m = max(terms)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(t - m) for t in terms))
-
-
 def rho_exact(process: GapProcess, n: int) -> RhoTrace:
     """rho_0..rho_n by the k-term recurrence, in linear and log space.
 
-    Linear values are exact up to float rounding; log values stay
-    meaningful long after the linear ones underflow.
+    Runs the state form of the module docstring on a scaled state: the true
+    a_m[r] is the held value times 2^e.  Whenever rho falls below 1e-100 the
+    state is multiplied by the power of two that brings its largest entry
+    into [1/2, 1), which is exact (it only scales up), and e keeps the
+    exponent.  Linear values are exact up to float rounding (0 or
+    subnormal once rho underflows); log values stay meaningful long after
+    that.  An exact zero stays exact (log -inf), and rho_0..rho_{k-1} are
+    exactly 1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     k = process.k
-    u = process.probabilities(n)
-    log_u = process.log_u(n)
-    log_1mu = process.log_one_minus_u(n)
-
-    vals = np.ones(n + 1)
-    logs = np.zeros(n + 1)
-    for m in range(k, n + 1):
-        tot = 0.0
-        prod = 1.0
-        log_terms = []
-        log_prod = 0.0
-        # term i: rho_{m-i} * u_{m-i+1} * prod_{j=m-i+2}^{m} (1-u_j)
-        for i in range(1, k + 1):
-            if i > 1:
-                prod *= 1.0 - u[m - i + 1]  # u_{m-i+2} is index m-i+1
-                log_prod += log_1mu[m - i + 1]
-            tot += vals[m - i] * u[m - i] * prod
-            log_terms.append(logs[m - i] + log_u[m - i] + log_prod)
-        vals[m] = tot
-        logs[m] = _logsumexp(log_terms)
-    return RhoTrace(k=k, values=vals, log_values=logs)
+    values = np.empty(n + 1)  # mantissas until the final pass
+    log_values = np.empty(n + 1)
+    exponents = np.empty(n + 1, dtype=np.int32)
+    state = [1.0] + [0.0] * (k - 1)
+    exponent = 0
+    pos = 0
+    shift = range(k - 1, 0, -1)
+    for us, vs in process.table_chunks(n):
+        stop = pos + len(us)
+        exponents[pos:stop] = exponent
+        mantissas = []
+        record = mantissas.append
+        for u, v in zip(us, vs):
+            t = 0.0
+            for a in state:
+                t += a
+            record(t)  # rho_{m-1}
+            for r in shift:
+                state[r] = v * state[r - 1]
+            state[0] = u * t
+            if t < _RESCALE_BELOW:
+                e = math.frexp(max(state))[1]
+                if e:  # 0 only for an all-zero state, which stays zero
+                    state = [math.ldexp(a, -e) for a in state]
+                    exponent += e
+                    exponents[pos + len(mantissas) : stop] = exponent
+        values[pos:stop] = mantissas
+        pos = stop
+    t = 0.0
+    for a in state:
+        t += a
+    values[n] = t
+    exponents[n] = exponent
+    with np.errstate(divide="ignore"):
+        for lo in range(0, n + 1, _TABLE_CHUNK):
+            part = slice(lo, lo + _TABLE_CHUNK)
+            log_values[part] = np.log(values[part]) + exponents[part] * _LN2
+            values[part] = np.ldexp(values[part], exponents[part])
+    values[:k] = 1.0
+    log_values[:k] = 0.0
+    return RhoTrace(k=k, values=values, log_values=log_values)
 
 
 @dataclass(frozen=True)
@@ -280,6 +331,52 @@ class PakResult:
     n_terms: int
 
 
+# Unit roundoff of double arithmetic, and the error budget in ulps of each
+# libm exp/expm1 value in the parametric tables (glibc documents <= 1 ulp).
+_EPS = 2.0**-53
+_LIBM_ULPS = 2
+
+
+def rho_rounding_bound(k: int, s: float, n: int) -> float:
+    """R with |log rho_hat_N - log rho_N| <= R for rho_exact on u_i = 1 - e^{-is}.
+
+    rho_hat_N = mantissa * 2^e is what `rho_exact` holds, rho_N the exact
+    value; eps = 2^-53 and c = _LIBM_ULPS.  The four parts:
+
+    1. Tables.  x_i = fl(i s) = i s (1 + d), |d| <= eps, so exp(-x_i) is
+       within i s eps of e^{-is} in log, and libm adds c ulps = 2c eps.
+       Since d log(1 - e^{-x})/dx = 1/(e^x - 1) <= 1/x, -expm1(-x_i) is
+       within about eps of u_i in log, plus 2c eps.  Every table entry is
+       within l_i = 1.001 eps (2c + 1 + i s) of the exact one, in log.
+    2. Tables to result.  rho_N is a sum, over the gap-free outcome strings,
+       of products holding exactly one of u_i, 1 - u_i for every i.  So
+       computed tables move log rho_N by at most sum_i l_i =
+       1.001 eps ((2c + 1) N + s N (N + 1) / 2).
+    3. Arithmetic.  Each step forms a_m[0] = u (sum of k entries), k
+       roundings, and every other entry with one product; rho_N is a final
+       sum of k entries.  All terms are nonnegative, so by induction every
+       entry stays within a factor (1 +- eps)^{k m} of its exact-arithmetic
+       value on the same tables, and rho_hat_N within (1 +- eps)^{kN + k - 1}:
+       1.001 eps (k N + k - 1) in log.  The rescaling multiplies by powers
+       of two >= 1 and is exact.
+    4. Underflow.  A product or table entry below 2^-1022 is off by up to
+       2^-1074 absolutely, at most k + 2 per step.  The held sum t of the
+       state never falls below 1e-100 u_1 / 2 (one step shrinks it at most
+       by u_m >= u_1, and a rescale lifts it to >= 1/2), and changing a
+       state entry by delta changes rho_N by at most delta / (u_1 t) of
+       itself (an occurring next event makes the trailing count
+       irrelevant): (k + 2) N 2^-1074 / (1e-100 u_1^2 / 2) in all.
+
+    The log of the result, log(mantissa) + e ln 2, adds a few ulps, which
+    `prob_ak` covers separately.
+    """
+    u1 = -math.expm1(-s)
+    arith = k * n + k - 1
+    tables = (2 * _LIBM_ULPS + 1) * n + s * n * (n + 1) / 2.0
+    underflow = (k + 2) * n * 2.0**-1074 / (0.5 * _RESCALE_BELOW * u1 * u1)
+    return 1.001 * _EPS * (arith + tables) + underflow
+
+
 def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) -> PakResult:
     """Bracket P(A_k) for the parametric family to relative width <= tol.
 
@@ -294,11 +391,25 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     f_k product of the suffix.  N is chosen so that the tail sum and the
     u_N correction each stay under tol/4, using g_k(z) <= 2 e^{-kz} for
     z >= 1 (verified numerically per k).
+
+    Float rounding goes outward on both ends: `rho_rounding_bound` R for
+    the recurrence, plus 8 ulps of |log rho_N| and 2^-50 for the final
+    log(mantissa) + e ln 2 (a log of a number in [1/2, 1), fl(ln 2) times
+    e, their product and sum) and the float sums that form the two ends;
+    the tail sum and log u_N are below tol/4 in size, so their own rounding
+    is far inside the 2^-50.
+    If R alone exceeds tol/4 the bracket cannot meet the tolerance and a
+    ValueError says so, as it does when N exceeds max_terms; so does a
+    half-width that the outward rounding pushes past tol/2 (possible only
+    with R near tol/4).  The reported midpoint and half-width contain the
+    bracket exactly.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError("k must be a positive integer")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError("s must be positive and finite")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     if not _tail_constant_ok(k):
         raise ArithmeticError(f"tail bound g_{k}(z) <= 2 e^(-kz) failed verification")
 
@@ -309,6 +420,12 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     n = int(math.ceil(max(n_tail, n_un, 1.0 / s, k + 1)))
     if n > max_terms:
         raise ValueError(f"tol {tol} at s={s} needs N={n} > budget {max_terms}")
+    rounding = rho_rounding_bound(k, s, n)
+    if rounding > tol / 4:
+        raise ValueError(
+            f"tol {tol} at s={s}: the rounding bound {rounding:.3g} of the recurrence "
+            f"to N={n} exceeds tol/4"
+        )
 
     process = GapProcess.parametric(k, s)
     log_rho_n = rho_exact(process, n).log_final
@@ -321,10 +438,13 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     tail += 2.0 * math.exp(-ks * (m_stop + 1)) / -math.expm1(-ks)
 
     log_un = float(np.log(-np.expm1(-n * s)))
-    log_lower = log_rho_n + log_un - tail
-    log_upper = log_rho_n
+    outward = rounding + 8.0 * math.ulp(abs(log_rho_n)) + 2.0**-50
+    log_lower = log_rho_n + log_un - tail - outward
+    log_upper = log_rho_n + outward
     log_mid = 0.5 * (log_lower + log_upper)
-    half = 0.5 * (log_upper - log_lower)
+    half = math.nextafter(max(log_upper - log_mid, log_mid - log_lower), math.inf)
+    if half > tol / 2:
+        raise ValueError(f"tol {tol} at s={s}: rounding widens the bracket past tol/2")
     return PakResult(
         value=float(np.exp(log_mid)),
         error_bound=half,
@@ -353,10 +473,6 @@ def prob_ak_log_bounds(k: int, s: float) -> tuple:
     return log_lower, log_upper
 
 
-def _trial_chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
-
-
 def rho_montecarlo(process: GapProcess, n: int, trials: int, seed: int) -> tuple:
     """Monte Carlo estimate of rho_n; returns (estimate, stderr).
 
@@ -376,7 +492,7 @@ def rho_montecarlo(process: GapProcess, n: int, trials: int, seed: int) -> tuple
     chunk = 0
     while done < trials:
         take = min(_MC_CHUNK, trials - done)
-        rng = _trial_chunk_rng(seed, chunk)
+        rng = trial_generator(seed, chunk)
         draws = rng.random((take, n)) if n else np.zeros((take, 0))
         fail = draws >= u  # event i fails with probability 1 - u_i
         run = np.zeros(take, dtype=np.int32)

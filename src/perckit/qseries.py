@@ -1,9 +1,13 @@
 """Exact truncated q-series arithmetic and partitions without k-sequences.
 
-Everything here is integer-exact modulo q^(N+1): Python ints as
-coefficients, schoolbook multiplication that truncates (never silently
-extends the order), and Newton-free power-series inversion for series with
-unit constant term.
+Everything here is integer-exact modulo q^(N+1), with Python ints as
+coefficients.  The products and quotients behind the identities below are
+built by sparse in-place kernels on one coefficient list: multiply or
+divide by 1 +- q^e and by 1 - q^n + q^{2n} in O(N) each, and by an
+infinite product (q^m;q^m)_inf in O(N^1.5) through Euler's pentagonal
+series.  `IntSeries` keeps the dense schoolbook multiplication (which
+truncates, never silently extends the order) and power-series inversion
+for unit constant term; the tests use them as the oracle of the kernels.
 
 The headline identities:
 
@@ -26,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 from typing import List, Optional, Sequence
 
 __all__ = [
@@ -211,6 +217,87 @@ def partition_no_ksequences(k: int, n_max: int) -> PartitionTable:
     return PartitionTable(k=k, values=tuple(sum(f[r][n] for r in range(k)) for n in range(n_max + 1)))
 
 
+# --- sparse in-place kernels -------------------------------------------------
+#
+# Each kernel rewrites a coefficient list c in place (c[i] is the coefficient
+# of q^i, truncated at len(c) - 1) with exact int arithmetic, in O(len(c))
+# work per binomial factor instead of the dense O(len(c)^2) product.  The
+# inner loops run in C: a shifted add or subtract is one `map` over two
+# slices, and a division by 1 - q^e is a running sum along each residue
+# class mod e.
+
+
+def _mul_binomial(c: List[int], e: int, sign: int) -> None:
+    """c *= 1 + sign q^e."""
+    if e < len(c):
+        c[e:] = map(add if sign > 0 else sub, c[e:], c[: len(c) - e])
+
+
+def _div_binomial(c: List[int], e: int, sign: int) -> None:
+    """c /= 1 + sign q^e, using 1/(1 + x) = (1 - x)/(1 - x^2)."""
+    if e >= len(c):
+        return
+    if sign > 0:
+        _mul_binomial(c, e, -1)
+        e *= 2
+    for r in range(min(e, len(c))):
+        c[r::e] = accumulate(c[r::e])  # 1/(1 - q^e): running sum with stride e
+
+
+def _div_trinomial(c: List[int], n: int) -> None:
+    """c /= 1 - q^n + q^{2n}, using (1 - x + x^2)(1 + x) = 1 + x^3."""
+    _mul_binomial(c, n, 1)
+    _div_binomial(c, 3 * n, 1)
+
+
+def _pentagonal(order: int) -> List[tuple]:
+    """(g, sign) with (q;q)_inf = 1 + sum sign q^g over g <= order, ascending.
+
+    Euler's pentagonal number theorem: the exponents are the generalized
+    pentagonal numbers j(3j -+ 1)/2, both with sign (-1)^j.
+    """
+    terms = []
+    j = 1
+    while j * (3 * j - 1) // 2 <= order:
+        sign = -1 if j % 2 else 1
+        terms.append((j * (3 * j - 1) // 2, sign))
+        if j * (3 * j + 1) // 2 <= order:
+            terms.append((j * (3 * j + 1) // 2, sign))
+        j += 1
+    return terms
+
+
+def _mul_euler(c: List[int], m: int) -> None:
+    """c *= (q^m;q^m)_inf: O(len(c)^1.5) through the pentagonal series."""
+    n = len(c)
+    old = c[:]
+    for g, sign in _pentagonal((n - 1) // m):
+        e = g * m
+        c[e:] = map(add if sign > 0 else sub, c[e:], old[: n - e])
+
+
+def _div_euler(c: List[int], m: int) -> None:
+    """c /= (q^m;q^m)_inf: d_i = c_i - sum_g sign_g d_{i-gm}, O(len(c)^1.5).
+
+    Only indices in one residue class mod m are coupled, so each class is
+    divided by (x;x)_inf in x = q^m.
+    """
+    taps = [(g, sign < 0) for g, sign in _pentagonal((len(c) - 1) // m)]
+    for r in range(min(m, len(c))):
+        d = c[r::m]
+        for i in range(1, len(d)):
+            acc = d[i]
+            for g, plus in taps:
+                if g > i:
+                    break
+                if plus:
+                    acc += d[i - g]
+                else:
+                    acc -= d[i - g]
+            d[i] = acc
+        c[r::m] = d
+
+
 def pochhammer(
     a_exponent: int,
     q_step: int,
@@ -231,100 +318,94 @@ def pochhammer(
         raise ValueError("q_step must be a positive integer")
     if terms is not None and terms < 0:
         raise ValueError("terms must be nonnegative")
-    out = [0] * (order + 1)
-    out[0] = 1
+    out = [1] + [0] * order
     sign = 1 if negate else -1
     j = 0
     while terms is None or j < terms:
         e = a_exponent + j * q_step
         if e > order:
             break  # every remaining factor is 1 modulo q^(order+1)
-        # in-place multiply by (1 + sign q^e), highest order first
-        for i in range(order - e, -1, -1):
-            if out[i]:
-                out[i + e] += sign * out[i]
+        _mul_binomial(out, e, sign)
         j += 1
     return IntSeries(tuple(out), order)
 
 
 def euler_product_inverse(order: int) -> IntSeries:
     """1/(q;q)_inf truncated: the generating function of p(n)."""
-    return pochhammer(1, 1, None, order).inverse()
+    out = [1] + [0] * order
+    _div_euler(out, 1)
+    return IntSeries(tuple(out), order)
 
 
 def andrews_gk_series(k: int, order: int) -> IntSeries:
     """Andrews' double hypergeometric series for G_k(q), truncated.
 
     The (r, s) sum is finite: the exponent binom(k+1,2)(s+r)^2 +
-    (k+1) binom(r+1,2) is minimized by the pure square, so pairs are
-    enumerated while binom(k+1,2)(s+r)^2 <= order.  Denominators are
-    finite Pochhammers inverted as unit-constant-term series; all
-    arithmetic is exact.
+    (k+1) binom(r+1,2) only grows with r and s, so pairs stop once it
+    passes the order.  Both sums are taken in Horner form, from the largest
+    index down, so every denominator is one in-place division by a binomial:
+
+        S_r = sum_s (-1)^s q^{binom(k+1,2)(s+r)^2} / (q^k;q^k)_s
+            = a_0 + (a_1 + (a_2 + ...) / (1 - q^{2k})) / (1 - q^k),
+
+    then sum_r q^{(k+1) binom(r+1,2)} S_r / (q^{k+1};q^{k+1})_r the same way
+    with the factors 1 - q^{(k+1) r}, and one pentagonal division by (q;q)_inf.
+    All arithmetic is exact.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     tri = k * (k + 1) // 2  # binom(k+1, 2)
-    acc = [0] * (order + 1)
-    inv_s_cache: List[IntSeries] = [IntSeries.one(order)]
-    inv_r_cache: List[IntSeries] = [IntSeries.one(order)]
+    total = [0] * (order + 1)
+    r_stop = 0
+    while tri * r_stop**2 + (k + 1) * r_stop * (r_stop + 1) // 2 <= order:
+        r_stop += 1
+    for r in reversed(range(r_stop)):
+        base = (k + 1) * r * (r + 1) // 2
+        inner = [0] * (order + 1 - base)  # S_r, to be shifted by q^base
+        s_stop = 0
+        while tri * (s_stop + r) ** 2 <= order - base:
+            s_stop += 1
+        for s in reversed(range(s_stop)):
+            inner[tri * (s + r) ** 2] += -1 if s % 2 else 1
+            if s:
+                _div_binomial(inner, k * s, -1)
+        total[base:] = map(add, total[base:], inner)
+        if r:
+            _div_binomial(total, (k + 1) * r, -1)
+    _div_euler(total, 1)
+    return IntSeries(tuple(total), order)
 
-    def inv_poch(cache: List[IntSeries], count: int, step: int) -> IntSeries:
-        while len(cache) <= count:
-            nxt = len(cache)
-            # 1/(1 - q^{step*nxt}) is the geometric series in q^{step*nxt}
-            geom = [0] * (order + 1)
-            for e in range(0, order + 1, step * nxt):
-                geom[e] = 1
-            cache.append(cache[-1] * IntSeries(tuple(geom), order))
-        return cache[count]
 
-    r = 0
-    while (k + 1) * r * (r + 1) // 2 <= order:
-        s = 0
-        while tri * (s + r) ** 2 + (k + 1) * r * (r + 1) // 2 <= order:
-            e = tri * (s + r) ** 2 + (k + 1) * r * (r + 1) // 2
-            term = inv_poch(inv_s_cache, s, k) * inv_poch(inv_r_cache, r, k + 1)
-            sign = -1 if s % 2 else 1
-            tc = term.coeffs
-            for i in range(order + 1 - e):
-                if tc[i]:
-                    acc[i + e] += sign * tc[i]
-            s += 1
-        r += 1
-    return IntSeries(tuple(acc), order) * euler_product_inverse(order)
+def _chi_coeffs(order: int) -> List[int]:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    c = [0] * (order + 1)
+    # chi - 1 = sum_n q^{n^2} / prod_{j<=n} (1 - q^j + q^{2j}), in Horner form
+    for n in range(math.isqrt(order), 0, -1):
+        c[n * n] += 1
+        _div_trinomial(c, n)
+    c[0] += 1
+    return c
 
 
 def mock_theta_chi(order: int) -> IntSeries:
     """Ramanujan's third-order mock theta function chi(q), truncated."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    acc = [0] * (order + 1)
-    acc[0] = 1
-    den = IntSeries.one(order)
-    n = 1
-    while n * n <= order:
-        # extend the denominator by (1 - q^n + q^{2n})
-        factor = [0] * (order + 1)
-        factor[0] = 1
-        if n <= order:
-            factor[n] -= 1
-        if 2 * n <= order:
-            factor[2 * n] += 1
-        den = den * IntSeries(tuple(factor), order)
-        inv = den.inverse()
-        e = n * n
-        for i in range(order + 1 - e):
-            if inv.coeffs[i]:
-                acc[i + e] += inv.coeffs[i]
-        n += 1
-    return IntSeries(tuple(acc), order)
+    return IntSeries(tuple(_chi_coeffs(order)), order)
 
 
 def g2_mock_theta_product(order: int) -> IntSeries:
-    """((-q^3;q^3)_inf / (q^2;q^2)_inf) * chi(q): the G_2 product form."""
-    num = pochhammer(3, 3, None, order, negate=True)
-    den_inv = pochhammer(2, 2, None, order).inverse()
-    return num * den_inv * mock_theta_chi(order)
+    """((-q^3;q^3)_inf / (q^2;q^2)_inf) * chi(q): the G_2 product form.
+
+    (-q^3;q^3)_inf = (q^6;q^6)_inf / (q^3;q^3)_inf, so this is chi times one
+    pentagonal multiplication and two pentagonal divisions.
+    """
+    c = _chi_coeffs(order)
+    _mul_euler(c, 6)
+    _div_euler(c, 3)
+    _div_euler(c, 2)
+    return IntSeries(tuple(c), order)
 
 
 def pak_bridge_residual(k: int, s: float, order: int, pak_log_value: float) -> float:

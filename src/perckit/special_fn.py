@@ -33,7 +33,6 @@ from scipy.integrate import quad
 
 __all__ = [
     "FkEvaluator",
-    "LambdaK",
     "QuadratureError",
     "fk_eval",
     "gk_eval",
@@ -392,17 +391,6 @@ def hk_tilde_eval(k: int, y, tol: float = DEFAULT_ROOT_TOL):
         total += term
     total -= prefix[:, k - 1]
     return float(total[0]) if squeeze else total
-
-
-@dataclass(frozen=True)
-class LambdaK:
-    """The metastability constant for a given k."""
-
-    k: int
-
-    @property
-    def value(self) -> float:
-        return lambda_k(self.k)
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,42 @@ class TestProbabilityCommands:
         code, _, err = run_cli(capsys, "rho", "--k", "2")
         assert code == 2 and "u-file" in err
 
+    @pytest.mark.parametrize("bad", [
+        ["rho", "--k", "0", "--s", "0.1", "--n", "5"],
+        ["rho", "--k", "2", "--s", "nan", "--n", "5"],
+        ["rho", "--k", "2", "--s", "inf", "--n", "5"],
+        ["rho", "--k", "2", "--s", "0.1", "--n", "-1"],
+        ["sweep-pak", "--k", "0", "--s", "0.1"],
+        ["sweep-pak", "--k", "1", "--s", "nan"],
+    ])
+    def test_rho_and_sweep_reject_bad_input(self, capsys, bad):
+        code, out, err = run_cli(capsys, *bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_rho_rejects_bad_u_file(self, capsys, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("0.5 1.5\n")
+        code, out, err = run_cli(capsys, "rho", "--k", "2", "--u-file", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_pak(self, capsys):
         code, out, _ = run_cli(capsys, "pak", "--k", "2", "--s", "0.1", "--tol", "1e-8")
         data = json.loads(out)
         assert data["log_value"] >= -lambda_k(2) / 0.1
         assert data["error_bound"] <= 1e-8
+
+    @pytest.mark.parametrize("bad", [
+        ["--k", "0"], ["--k", "-2"], ["--s", "nan"], ["--s", "inf"], ["--s", "0"],
+        ["--s", "-0.1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
+        ["--s", "1e-5"],  # the rounding floor alone is above tol/4
+    ])
+    def test_pak_rejects_bad_input(self, capsys, bad):
+        code, out, err = run_cli(capsys, "pak", "--k", "1", "--s", "0.1", *bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestQseriesCommands:
@@ -100,6 +131,24 @@ class TestQseriesCommands:
     def test_chi_identity(self, capsys):
         code, out, _ = run_cli(capsys, "chi-identity", "--N", "60")
         assert code == 0 and "holds" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["chi-identity", "--N", "-1"],
+        ["partitions", "--k", "2", "--N", "-1"],
+        ["partitions", "--k", "0", "--N", "5", "--andrews-check"],
+    ])
+    def test_rejects_bad_input(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_orders(self, capsys, n):
+        code, out, _ = run_cli(capsys, "chi-identity", "--N", str(n))
+        assert code == 0 and out == f"mock theta identity holds through q^{n}\n"
+        code, out, _ = run_cli(capsys, "partitions", "--k", "2", "--N", str(n), "--andrews-check")
+        assert code == 0 and out == "".join(f"{i},1\n" for i in range(n + 1))
 
 
 class TestSimulationCommands:

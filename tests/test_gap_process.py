@@ -1,7 +1,10 @@
 """Tests for no-k-gap probabilities: recurrence, bounds, P(A_k)."""
 
+import json
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from perckit.gap_process import (
     rho_exact,
     rho_lower_product,
     rho_montecarlo,
+    rho_rounding_bound,
     rho_sandwich,
 )
 from perckit.special_fn import fk_eval, lambda_k
@@ -40,6 +44,63 @@ def rho_bruteforce(k, u):
         if ok:
             total += p
     return total
+
+
+def _log_rho_mp(k, s, n):
+    """log rho_n for u_i = 1 - e^{-i s} in 40-digit arithmetic (state form)."""
+    with mp.workdps(40):
+        q = mp.exp(-mp.mpf(s))  # s is a binary float: exact
+        state = [mp.mpf(1)] + [mp.mpf(0)] * (k - 1)
+        log_scale = mp.mpf(0)
+        qi = mp.mpf(1)
+        for _ in range(n):
+            qi *= q
+            state = [(1 - qi) * mp.fsum(state)] + [qi * a for a in state[:-1]]
+            total = mp.fsum(state)
+            if total < mp.mpf(2) ** -300:
+                log_scale += mp.log(total)
+                state = [a / total for a in state]
+        return log_scale + mp.log(mp.fsum(state))
+
+
+def _log_euler_mp(s):
+    """log (q;q)_inf at q = e^{-s} by the Dedekind eta transformation."""
+    r = mp.exp(-4 * mp.pi**2 / s)
+    return -mp.pi**2 / (6 * s) + mp.log(2 * mp.pi / s) / 2 + s / 24 + mp.log(mp.qp(r, r))
+
+
+def _log_chi_mp(s):
+    """log chi(q) at q = e^{-s}; later term ratios are <= 4/3 q^{2n+1}."""
+    q = mp.exp(-s)
+    total = term = qn = mp.mpf(1)
+    while True:
+        term *= qn * qn * q / (1 - qn * q + (qn * q) ** 2)  # q^{2n-1} / (1 - q^n + q^{2n})
+        qn *= q
+        total += term
+        if 4 * qn * qn * q < 1.5 and term < mp.mpf(10) ** (-mp.mp.dps - 5) * total:
+            return mp.log(total)
+
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+# the benchmark's 23 P(A_k) points: pak at s = 1e-4 and the sweep-pak grid
+_BENCH_POINTS = [(k, 1e-4) for k in (1, 2, 3)] + [
+    (k, s) for k in (1, 2, 3, 4) for s in (0.1, 0.05, 0.02, 0.01, 0.005)
+]
+
+
+def _exact_log_pak(k, s):
+    """Exact log P(A_k): the Euler product (k = 1), (q;q)_inf G_2 with G_2 the
+    mock-theta product (k = 2), stored 45-digit recurrence values (k >= 3)."""
+    with mp.workdps(50):
+        s = mp.mpf(s)
+        if k == 1:
+            return _log_euler_mp(s)
+        if k == 2:
+            return (_log_euler_mp(s) + _log_euler_mp(6 * s) - _log_euler_mp(3 * s)
+                    - _log_euler_mp(2 * s) + _log_chi_mp(s))
+        rows = json.loads(_REFERENCE.read_text())["log_pak"]
+        return next(mp.mpf(r["value"]) for r in rows if r["k"] == k and r["s"] == float(s))
 
 
 class TestGapProcess:
@@ -83,6 +144,19 @@ class TestRhoExact:
     def test_initial_values_are_one(self):
         trace = rho_exact(GapProcess.explicit(3, [0.2, 0.4, 0.6]), 2)
         assert list(trace.values) == [1.0, 1.0, 1.0]
+        # the state sums to 1 - 2^-53 here after three steps; rho_3 is still 1
+        trace = rho_exact(GapProcess.explicit(4, [0.24, 0.54, 0.37]), 3)
+        assert list(trace.values) == [1.0] * 4 and list(trace.log_values) == [0.0] * 4
+
+    def test_parametric_tables(self):
+        s = 0.5
+        u, v = next(GapProcess.parametric(2, s).table_chunks(200))
+        for i in (1, 2, 60, 100, 200):  # e^{-i s} far below 2^-53 keeps its value
+            assert v[i - 1] == math.exp(-i * s) > 0.0
+            assert u[i - 1] == -math.expm1(-i * s)
+        chunks = list(GapProcess.parametric(1, 1e-3).table_chunks(2500))
+        assert [len(c[0]) for c in chunks] == [1024, 1024, 452]
+        assert chunks[2][1][0] == math.exp(-2049 * 1e-3)
 
     def test_k1_is_product(self):
         u = [0.3, 0.9, 0.5, 0.7]
@@ -121,6 +195,41 @@ class TestRhoExact:
         assert trace.log_final == -math.inf
         trace = rho_exact(GapProcess.explicit(2, [0.0, 0.0, 1.0]), 3)
         assert trace.final == 0.0
+
+    def test_exact_zero_and_one_entries(self):
+        # a forced failure run of length k zeroes rho exactly, for good
+        u = [0.5, 0.0, 0.0, 1.0, 0.3]
+        trace = rho_exact(GapProcess.explicit(2, u), 5)
+        assert list(trace.values) == [1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
+        assert list(trace.log_values[3:]) == [-math.inf] * 3
+        # u = 1 resets the failure run: k = 3 never sees three failures
+        trace = rho_exact(GapProcess.explicit(3, u), 5)
+        assert trace.final == pytest.approx(rho_bruteforce(3, u), abs=1e-15)
+        assert trace.final > 0.0
+        # zeros after a long run that has been rescaled many times
+        u = [1e-3] * 300 + [0.0] * 3
+        trace = rho_exact(GapProcess.explicit(3, u), len(u))
+        assert trace.final == 0.0 and trace.log_final == -math.inf
+        assert math.isfinite(trace.log_values[300]) and trace.log_values[300] < -600
+        # only ones: nothing can fail
+        trace = rho_exact(GapProcess.explicit(2, [1.0] * 500), 500)
+        assert np.all(trace.values == 1.0) and np.all(trace.log_values == 0.0)
+
+    def test_log_values_below_underflow(self):
+        # k = 1: rho_n = prod u_i, far below the smallest double
+        u = [0.01] * 1000
+        trace = rho_exact(GapProcess.explicit(1, u), 1000)
+        n = np.arange(1001)
+        assert trace.log_values == pytest.approx(n * math.log(0.01), rel=1e-13)
+        assert trace.values[200] == 0.0 and trace.values[100] == pytest.approx(1e-200, rel=1e-12)
+
+    @pytest.mark.parametrize("k,s,n", [(1, 1e-3, 30_000), (2, 0.01, 3000), (3, 0.003, 8000)])
+    def test_rounding_bound_holds(self, k, s, n):
+        got = rho_exact(GapProcess.parametric(k, s), n).log_final
+        exact = _log_rho_mp(k, s, n)
+        bound = rho_rounding_bound(k, s, n)
+        assert abs(mp.mpf(got) - exact) <= bound
+        assert bound < 1e-9
 
     @given(st.integers(1, 3), st.lists(st.floats(0.0, 1.0), min_size=0, max_size=9))
     @settings(max_examples=60, deadline=None)
@@ -249,6 +358,39 @@ class TestProbAk:
         with pytest.raises(ValueError):
             prob_ak(2, 1e-6, tol=1e-10, max_terms=100)
 
+    @pytest.mark.parametrize("k,s,tol", [
+        (0, 0.1, 1e-8), (-1, 0.1, 1e-8), (1.5, 0.1, 1e-8),
+        (2, math.nan, 1e-8), (2, math.inf, 1e-8), (2, 0.0, 1e-8),
+        (2, 0.1, math.nan), (2, 0.1, math.inf), (2, 0.1, 0.0),
+    ])
+    def test_rejects_bad_input(self, k, s, tol):
+        with pytest.raises(ValueError, match=r"^(k|s|tol) must be"):
+            prob_ak(k, s, tol)
+
+    @pytest.mark.parametrize("k,s", [(1, 0.01), (2, 0.005), (3, 1e-3)])
+    def test_rounding_goes_outward(self, k, s):
+        res = prob_ak(k, s, 1e-8)
+        log_rho = rho_exact(GapProcess.parametric(k, s), res.n_terms).log_final
+        rounding = rho_rounding_bound(k, s, res.n_terms)
+        assert res.log_upper - log_rho >= rounding
+        assert log_rho - res.log_lower >= rounding
+
+    def test_rounding_floor_above_tolerance(self):
+        # N ~ 3.2e6 terms: the rounding bound alone passes tol/4
+        with pytest.raises(ValueError, match="rounding bound"):
+            prob_ak(1, 1e-5, tol=1e-8)
+
+    @pytest.mark.parametrize("k,s", _BENCH_POINTS)
+    def test_bracket_contains_exact_value(self, k, s):
+        tol = 1e-8
+        res = prob_ak(k, s, tol)
+        exact = _exact_log_pak(k, s)
+        with mp.workdps(60):
+            mid, half = mp.mpf(res.log_value), mp.mpf(res.error_bound)
+            assert mid - half <= mp.mpf(res.log_lower) <= exact
+            assert exact <= mp.mpf(res.log_upper) <= mid + half
+        assert 0.0 < res.error_bound <= tol / 2
+
 
 class TestMonteCarlo:
     def test_matches_oracle(self):
@@ -269,6 +411,17 @@ class TestMonteCarlo:
         assert a == b
         c = rho_montecarlo(process, 50, trials=10_000, seed=8)
         assert a != c
+
+    @pytest.mark.parametrize("seed,parametric,explicit", [
+        (7, 0.5971, 0.4), (20240, 0.5963, 0.40044444444444444),
+    ])
+    def test_pinned_estimates(self, seed, parametric, explicit):
+        # three chunks of 4096 trials each, keyed by rng.trial_generator(seed, chunk)
+        est, _ = rho_montecarlo(GapProcess.parametric(2, 0.4), 50, trials=10_000, seed=seed)
+        assert est == parametric
+        u = [0.2, 0.5, 0.1, 0.3, 0.6, 0.4, 0.2]
+        est, _ = rho_montecarlo(GapProcess.explicit(3, u), 7, trials=9_000, seed=seed)
+        assert est == explicit
 
 
 class TestConjectureFuzz:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perckit import qseries
 from perckit.gap_process import prob_ak
 from perckit.qseries import (
     IntSeries,
@@ -176,6 +177,72 @@ class TestAndrewsSeries:
         assert andrews_gk_series(2, 3)[3] == 2
 
 
+# A random truncated series: its coefficient list, order = len - 1 in 0..300.
+_series = st.integers(0, 300).flatmap(
+    lambda order: st.lists(st.integers(-10**6, 10**6), min_size=order + 1, max_size=order + 1)
+)
+
+
+def _binomial(e, sign, order):
+    """1 + sign q^e as a dense IntSeries (the oracle's factor)."""
+    return IntSeries.one(order) + IntSeries.monomial(e, order, sign)
+
+
+def _euler_finite(m, order):
+    """(q^m;q^m)_inf mod q^(order+1) as the finite product of binomials."""
+    return pochhammer(m, m, order // m, order)
+
+
+class TestSparseKernels:
+    """Each in-place kernel against the dense IntSeries multiply / inverse."""
+
+    @given(_series, st.integers(1, 320), st.sampled_from([1, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_mul_binomial(self, c, e, sign):
+        order = len(c) - 1
+        want = (IntSeries(tuple(c), order) * _binomial(e, sign, order)).coeffs
+        qseries._mul_binomial(c, e, sign)
+        assert tuple(c) == want
+
+    @given(_series, st.integers(1, 320), st.sampled_from([1, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_div_binomial(self, c, e, sign):
+        order = len(c) - 1
+        want = (IntSeries(tuple(c), order) * _binomial(e, sign, order).inverse()).coeffs
+        qseries._div_binomial(c, e, sign)
+        assert tuple(c) == want
+
+    @given(_series, st.integers(1, 160))
+    @settings(max_examples=60, deadline=None)
+    def test_div_trinomial(self, c, n):
+        order = len(c) - 1
+        factor = _binomial(n, -1, order) + IntSeries.monomial(2 * n, order)
+        want = (IntSeries(tuple(c), order) * factor.inverse()).coeffs
+        qseries._div_trinomial(c, n)
+        assert tuple(c) == want
+
+    @given(_series, st.integers(1, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_mul_euler(self, c, m):
+        order = len(c) - 1
+        want = (IntSeries(tuple(c), order) * _euler_finite(m, order)).coeffs
+        qseries._mul_euler(c, m)
+        assert tuple(c) == want
+
+    @given(_series, st.integers(1, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_div_euler(self, c, m):
+        order = len(c) - 1
+        want = (IntSeries(tuple(c), order) * _euler_finite(m, order).inverse()).coeffs
+        qseries._div_euler(c, m)
+        assert tuple(c) == want
+
+    def test_pentagonal_division_matches_dense_inverse(self):
+        for n in (0, 1, 2, 5, 7, 300):
+            dense = pochhammer(1, 1, None, n).inverse()
+            assert euler_product_inverse(n).coeffs == dense.coeffs
+
+
 class TestMockTheta:
     def test_low_coefficients(self):
         chi = mock_theta_chi(8)
@@ -187,6 +254,41 @@ class TestMockTheta:
         product = g2_mock_theta_product(n)
         table = partition_no_ksequences(2, n)
         assert product.coeffs == tuple(table.values)
+
+    def test_chi_against_dense_definition(self):
+        n = 150
+        dense = IntSeries.one(n)
+        den = IntSeries.one(n)
+        j = 1
+        while j * j <= n:
+            den = den * (_binomial(j, -1, n) + IntSeries.monomial(2 * j, n))
+            dense = dense + IntSeries.monomial(j * j, n) * den.inverse()
+            j += 1
+        assert mock_theta_chi(n).coeffs == dense.coeffs
+
+    def test_negative_order_rejected(self):
+        for fn in (mock_theta_chi, g2_mock_theta_product):
+            with pytest.raises(ValueError):
+                fn(-1)
+        with pytest.raises(ValueError):
+            andrews_gk_series(2, -1)
+
+
+class TestLargeOrder:
+    """The sparse kernels against the partition DP well past the dense reach."""
+
+    N = 1500
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return {k: partition_no_ksequences(k, self.N) for k in (1, 2, 3, 4)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_andrews_series(self, tables, k):
+        assert andrews_gk_series(k, self.N).coeffs == tuple(tables[k].values)
+
+    def test_g2_product(self, tables):
+        assert g2_mock_theta_product(self.N).coeffs == tuple(tables[2].values)
 
 
 class TestBridge:
