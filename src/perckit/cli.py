@@ -29,19 +29,27 @@ def _usage_error(exc: ValueError) -> int:
     return 2
 
 
+def _print_values(fn, points) -> int:
+    """Print fn(p) for every point, or only an error line if any point is rejected."""
+    try:
+        values = [fn(p) for p in points]
+    except ValueError as exc:  # bad --k/--x/--z/--tol
+        return _usage_error(exc)
+    for value in values:
+        print(_fmt(value))
+    return 0
+
+
 def _cmd_fk(args):
-    for x in args.x:
-        print(_fmt(fk_eval(args.k, x, args.tol)))
+    return _print_values(lambda x: fk_eval(args.k, x, args.tol), args.x)
 
 
 def _cmd_gk(args):
-    for z in args.z:
-        print(_fmt(gk_eval(args.k, z)))
+    return _print_values(lambda z: gk_eval(args.k, z), args.z)
 
 
 def _cmd_lambda(args):
-    for k in args.k:
-        print(_fmt(lambda_k(k)))
+    return _print_values(lambda_k, args.k)
 
 
 def _cmd_hk_scan(args):
@@ -177,10 +185,13 @@ def _cmd_events(args):
         }
         print(json.dumps(payload, indent=2))
         return 0 if report.total_violations == 0 else 1
-    if args.kind == "dk":
-        p = growth_events.prob_dk(growth_events.StairGeometry(args.k, args.a, args.b), args.q)
-    else:
-        p = growth_events.prob_jk(growth_events.SkewGeometry(args.k, args.a, args.b), args.q)
+    try:
+        if args.kind == "dk":
+            p = growth_events.prob_dk(growth_events.StairGeometry(args.k, args.a, args.b), args.q)
+        else:
+            p = growth_events.prob_jk(growth_events.SkewGeometry(args.k, args.a, args.b), args.q)
+    except ValueError as exc:  # bad --k/--a/--b/--q
+        return _usage_error(exc)
     print(_fmt(p))
 
 

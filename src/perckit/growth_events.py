@@ -634,32 +634,35 @@ def _growth_cases(k: int, q: float) -> list:
     return cases
 
 
-def _run_case(res: CaseResult, model: ModelSpec, build: Callable[[int], Lattice], side: int,
-              seeds: Iterable[int]) -> CaseResult:
-    """Count the trials whose closure leaves R(side, side) short of Active.
+def _run_case(results: List[CaseResult], models: List[ModelSpec],
+              build: Callable[[int], Lattice], side: int, seeds: Iterable[int]) -> None:
+    """Count, per model, the trials whose closure leaves R(side, side) short of Active.
 
-    The bitboard closure decides each trial, stopping once the square is
-    filled.  A trial it fails is run again through `run_to_fixpoint`, which
-    gives the counterexample snapshot and cross-checks the verdict.
+    Each trial configuration is built once and decided under every model,
+    `results[i]` counting for `models[i]`.  The bitboard closure decides
+    each trial, stopping once the square is filled.  A trial it fails is
+    run again through `run_to_fixpoint`, which gives the counterexample
+    snapshot and cross-checks the verdict.
     """
     for seed in seeds:
         lat = build(seed)
         L, cells = lat.width, lat.cells.reshape(-1)
         square = sum(((1 << side) - 1) << (y * L) for y in range(side))  # R(side, side)
-        active = bitboard_closure(model, L, pack_board(cells == CellState.ACTIVE),
-                                  pack_board(cells == CellState.OCCUPIED),
-                                  stop=lambda board: board & square == square)
-        if active & square == square:
-            continue
-        fixed, _, converged = run_to_fixpoint(lat, model)
-        if not converged or np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
-            raise AssertionError(
-                f"bitboard closure and run_to_fixpoint disagree on {res.kind} seed {seed}"
-            )
-        res.violations += 1
-        if res.counterexample is None:
-            res.counterexample = to_text(fixed)
-    return res
+        start = pack_board(cells == CellState.ACTIVE)
+        occupied = pack_board(cells == CellState.OCCUPIED)
+        for res, model in zip(results, models):
+            active = bitboard_closure(model, L, start, occupied,
+                                      stop=lambda board: board & square == square)
+            if active & square == square:
+                continue
+            fixed, _, converged = run_to_fixpoint(lat, model)
+            if not converged or np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
+                raise AssertionError(
+                    f"bitboard closure and run_to_fixpoint disagree on {res.kind} seed {seed}"
+                )
+            res.violations += 1
+            if res.counterexample is None:
+                res.counterexample = to_text(fixed)
 
 
 def verify_growth_guarantee(
@@ -679,6 +682,7 @@ def verify_growth_guarantee(
     R(L-1, L-1).  All trials put every unconstrained cell in the empty
     state, the adversarial worst case for the deterministic claim.
     Violations are counted, with the first counterexample snapshot kept.
+    The report lists every case of the first variant, then of the next.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -689,12 +693,11 @@ def verify_growth_guarantee(
     variants = [variant] if variant is not None else (
         [Variant.LOCAL_K] if k >= 2 else [Variant.LOCAL_MODIFIED, Variant.LOCAL_FROBOSE]
     )
-    cases = _growth_cases(k, q)
-    report = GrowthReport()
-    for var in variants:
-        model = ModelSpec(variant=var, k=k, q=q)
-        for kind, a, b, stride, build, side in cases:
-            res = CaseResult(kind, k, var.value, a, b, trials, 0)
-            first = seed * stride
-            report.cases.append(_run_case(res, model, build, side, range(first, first + trials)))
-    return report
+    models = [ModelSpec(variant=var, k=k, q=q) for var in variants]
+    by_case = []
+    for kind, a, b, stride, build, side in _growth_cases(k, q):
+        results = [CaseResult(kind, k, var.value, a, b, trials, 0) for var in variants]
+        first = seed * stride
+        _run_case(results, models, build, side, range(first, first + trials))
+        by_case.append(results)
+    return GrowthReport([res for per_variant in zip(*by_case) for res in per_variant])

@@ -180,41 +180,44 @@ def partition_count(n_max: int) -> PartitionTable:
     return PartitionTable(k=0, values=tuple(p))
 
 
+def _sum_rows(rows: List[List[int]]) -> List[int]:
+    """Elementwise sum of equal-length rows (the first row itself if only one)."""
+    total = rows[0]
+    for row in rows[1:]:
+        total = list(map(add, total, row))
+    return total
+
+
 def partition_no_ksequences(k: int, n_max: int) -> PartitionTable:
     """p_k(0)..p_k(n_max): partitions with no k consecutive integers as parts.
 
     DP over part values 1..n_max; the state is the length of the current
     run of consecutive values used (capped at k-1, since reaching k is
-    forbidden).  Within one value the multiplicity loop is the usual
-    unbounded-knapsack self-reference, so the whole table costs
-    O(n_max^2 k) exact-integer additions.
+    forbidden).  Within one value v the multiplicity loop is the usual
+    unbounded-knapsack self-reference g[n] = f[n-v] + g[n-v], filled one
+    block of v entries at a time, so the whole table costs O(n_max^2 k)
+    exact-integer additions in C and O(n_max k log n_max) Python steps.
+    It shares no code with the series kernels, which it checks.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    size = n_max + 1
     # f[r][n]: partitions of n from values < v with run of trailing
     # consecutive used values r (r in 0..k-1)
-    f = [[0] * (n_max + 1) for _ in range(k)]
-    f[0][0] = 1
-    for v in range(1, n_max + 1):
-        g = [[0] * (n_max + 1) for _ in range(k)]
-        for r in range(k):
-            row = f[r]
-            dest = g[0]
-            for n in range(n_max + 1):
-                if row[n]:
-                    dest[n] += row[n]  # v unused: run resets
+    f = [[1] + [0] * n_max] + [[0] * size for _ in range(k - 1)]
+    for v in range(1, size):
+        g = [_sum_rows(f)]  # v unused: run resets
         # v used at least once: run r -> r+1, must stay < k
-        for r in range(k - 1):
-            src = f[r]
-            dest = g[r + 1]
-            for n in range(v, n_max + 1):
-                acc = src[n - v] + (dest[n - v] if n - v >= v else 0)
-                if acc:
-                    dest[n] += acc
+        for src in f[: k - 1]:
+            dest = [0] * size
+            for lo in range(v, size, v):
+                hi = min(lo + v, size)
+                dest[lo:hi] = map(add, src[lo - v : hi - v], dest[lo - v : hi - v])
+            g.append(dest)
         f = g
-    return PartitionTable(k=k, values=tuple(sum(f[r][n] for r in range(k)) for n in range(n_max + 1)))
+    return PartitionTable(k=k, values=tuple(_sum_rows(f)))
 
 
 # --- sparse in-place kernels -------------------------------------------------

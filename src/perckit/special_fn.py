@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "FkEvaluator",
@@ -262,7 +261,12 @@ def integrate_gk(k: int, tol: float = DEFAULT_INTEGRAL_TOL) -> float:
     asymptote and tail e^{-kZ}/k from the exponential one.  Raises
     QuadratureError if the certified error budget exceeds tol.  The exact
     value is lambda_k(k); the agreement is a test target, not an input.
+
+    scipy is imported here, not at module level: this is its only use, and
+    no CLI command reaches it, so `import perckit` stays free of scipy.
     """
+    from scipy.integrate import quad
+
     k = _check_k(k)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")

@@ -60,6 +60,18 @@ class TestNumericCommands:
         vals = [float(v) for v in out.strip().splitlines()]
         assert max(vals) <= 1e-10
 
+    @pytest.mark.parametrize("argv", [
+        ["gk", "--k", "2", "--z", "-1"], ["gk", "--k", "2", "--z", "0.5", "nan"],
+        ["gk", "--k", "0", "--z", "1"], ["fk", "--k", "0", "--x", "0.5"],
+        ["fk", "--k", "2", "--x", "0.5", "1.5"], ["fk", "--k", "2", "--x", "0.5", "--tol", "0"],
+        ["lambda", "--k", "0"], ["lambda", "--k", "1", "-3"],
+    ])
+    def test_rejects_bad_input(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""  # no partial output before a rejected point
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestProbabilityCommands:
     def test_rho_parametric(self, capsys):
@@ -209,6 +221,19 @@ class TestSimulationCommands:
     def test_events_verify_rejects_bad_input(self, capsys, bad):
         code, out, err = run_cli(
             capsys, "events", "verify", "--k", "2", "--trials", "3", "--seed", "1", *bad,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [
+        ["--q", "1.5"], ["--q", "0"], ["--q", "nan"], ["--k", "0"], ["--a", "9", "--b", "4"],
+        ["--kind", "jk", "--a", "4", "--b", "7"],  # b - a < k + 2
+    ])
+    def test_events_prob_rejects_bad_input(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "events", "prob", "--k", "2", "--a", "4", "--b", "9", "--q", "0.5",
+            "--kind", "dk", *bad,
         )
         assert code == 2
         assert out == ""

@@ -368,8 +368,8 @@ class TestTrialRunner:
     @pytest.mark.parametrize("width,height", [(6, 6), (7, 6), (6, 7)])
     def test_planted_violation_reports_the_oracle_snapshot(self, width, height):
         build = functools.partial(_planted_trial, width, height)
-        res = _run_case(CaseResult("dk", 2, "local", 4, 9, 6, 0), self.model, build,
-                        side=7, seeds=range(6))
+        res = CaseResult("dk", 2, "local", 4, 9, 6, 0)
+        _run_case([res], [self.model], build, side=7, seeds=range(6))
         assert res.violations == 1
         fixed, _, _ = run_to_fixpoint(build(3), self.model)
         assert res.counterexample == to_text(fixed)
@@ -379,17 +379,17 @@ class TestTrialRunner:
         def build(seed):
             return _planted_trial(6 if seed == 3 else 5, 6, min(seed, 3))
 
-        res = _run_case(CaseResult("dk", 2, "local", 4, 9, 6, 0), self.model, build,
-                        side=7, seeds=range(6))
+        res = CaseResult("dk", 2, "local", 4, 9, 6, 0)
+        _run_case([res], [self.model], build, side=7, seeds=range(6))
         assert res.violations == 3
         assert res.counterexample.count("A") == 36
 
     def test_case_table_seeds_and_squares(self, monkeypatch):
         calls = []
 
-        def record(res, model, build, side, seeds):
+        def record(results, models, build, side, seeds):
+            (res,) = results
             calls.append((res.kind, res.a, res.b, side, seeds))
-            return res
 
         monkeypatch.setattr(growth_events, "_run_case", record)
         verify_growth_guarantee(2, trials=3, seed=5, q=0.5)
@@ -408,8 +408,51 @@ class TestTrialRunner:
         monkeypatch.setattr(growth_events, "bitboard_closure", lambda *args, **kwargs: 0)
         build = functools.partial(_planted_trial, 6, 6)
         with pytest.raises(AssertionError, match="disagree"):
-            _run_case(CaseResult("dk", 2, "local", 4, 9, 1, 0), self.model, build,
+            _run_case([CaseResult("dk", 2, "local", 4, 9, 1, 0)], [self.model], build,
                       side=7, seeds=[0])
+
+    def test_k1_builds_each_trial_once_for_both_variants(self, monkeypatch):
+        builds = []
+
+        real_cases = growth_events._growth_cases
+
+        def counting_cases(k, q):
+            def wrap(build):
+                return lambda seed: builds.append(seed) or build(seed)
+            return [(*case[:4], wrap(case[4]), case[5]) for case in real_cases(k, q)]
+
+        monkeypatch.setattr(growth_events, "_growth_cases", counting_cases)
+        report = verify_growth_guarantee(1, trials=4, seed=3, q=0.5)
+        n_cases = len(real_cases(1, 0.5))
+        assert len(builds) == 4 * n_cases
+        variants = [c.variant for c in report.cases]
+        assert variants == ["modified"] * n_cases + ["frobose"] * n_cases
+        per_variant = [
+            verify_growth_guarantee(1, trials=4, seed=3, q=0.5, variant=var).cases
+            for var in (Variant.LOCAL_MODIFIED, Variant.LOCAL_FROBOSE)
+        ]
+        assert report.cases == per_variant[0] + per_variant[1]
+
+    def test_each_model_keeps_its_own_counts_and_first_counterexample(self):
+        def build(seed):
+            """Seed 2: an empty 2-column gap that only k = 3 jumps; seed 4: R(6, 6) occupied."""
+            cells = np.full((8, 8), O, dtype=np.uint8)
+            if seed == 2:
+                cells[:, 3:5] = E
+            if seed == 4:
+                cells[:, 6:] = cells[6:, :] = E
+            cells[0, 0] = A
+            return Lattice(cells=cells)
+
+        models = [self.model, ModelSpec(Variant.LOCAL_K, k=3, q=0.5)]
+        results = [CaseResult("dk", m.k, "local", 4, 9, 6, 0) for m in models]
+        _run_case(results, models, build, side=7, seeds=range(6))
+        assert [res.violations for res in results] == [2, 1]
+        for res, model, first in zip(results, models, (2, 4)):
+            assert res.counterexample == to_text(run_to_fixpoint(build(first), model)[0])
+            single = CaseResult("dk", model.k, "local", 4, 9, 6, 0)
+            _run_case([single], [model], build, side=7, seeds=range(6))
+            assert res == single
 
     @pytest.mark.parametrize("kwargs", [{"q": 0.0}, {"q": 1.0}, {"q": 1.5}, {"q": math.nan},
                                         {"trials": 0}, {"k": 0}])

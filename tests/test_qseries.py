@@ -42,6 +42,22 @@ def has_k_sequence(parts, k):
     return any(all(v + i in values for i in range(k)) for v in values)
 
 
+def partition_no_ksequences_per_element(k, n_max):
+    """The per-element form of the same run-length DP: the reference for the blockwise one."""
+    f = [[0] * (n_max + 1) for _ in range(k)]
+    f[0][0] = 1
+    for v in range(1, n_max + 1):
+        g = [[0] * (n_max + 1) for _ in range(k)]
+        for r in range(k):
+            for n in range(n_max + 1):
+                g[0][n] += f[r][n]  # v unused: run resets
+        for r in range(k - 1):  # v used at least once: run r -> r+1
+            for n in range(v, n_max + 1):
+                g[r + 1][n] += f[r][n - v] + (g[r + 1][n - v] if n - v >= v else 0)
+        f = g
+    return tuple(sum(f[r][n] for r in range(k)) for n in range(n_max + 1))
+
+
 class TestIntSeries:
     def test_truncation_and_padding(self):
         s = IntSeries((1, 2), 4)
@@ -133,6 +149,15 @@ class TestPartitionNoKSequences:
         # once k > n no partition of n can contain a k-sequence
         big = partition_no_ksequences(31, n_max)
         assert tuple(big.values) == tuple(plain.values)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_blockwise_matches_per_element_dp(self, k):
+        assert partition_no_ksequences(k, 300).values == partition_no_ksequences_per_element(k, 300)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40])
+    def test_k_above_n_max_is_partition_count(self, n_max):
+        for k in (n_max + 1, n_max + 2, n_max + 5):
+            assert partition_no_ksequences(k, n_max).values == partition_count(n_max).values
 
 
 class TestPochhammer:
