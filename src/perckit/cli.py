@@ -132,10 +132,12 @@ _VARIANTS = {
 
 
 def _cmd_simulate(args):
-    variant = _VARIANTS[args.model]
-    spec = lattice.ModelSpec(variant=variant, k=args.k, q=args.q)
-    localized = spec.is_local and not args.global_init
-    lat = lattice.sample_initial(spec, args.L, args.L, args.seed, localized=localized)
+    try:
+        spec = lattice.ModelSpec(variant=_VARIANTS[args.model], k=args.k, q=args.q)
+        localized = spec.is_local and not args.global_init
+        lat = lattice.sample_initial(spec, args.L, args.L, args.seed, localized=localized)
+    except ValueError as exc:  # bad --k/--q/--L
+        return _usage_error(exc)
     fixed, steps, converged = lattice.run_to_fixpoint(lat, spec)
     summary = {
         "model": args.model,
@@ -196,23 +198,26 @@ def _cmd_events(args):
 
 
 def _cmd_scan(args):
-    if args.config:
-        config = harness.ExperimentConfig.from_json(args.config)
-    else:
-        if args.seed is None:
-            print("error: --seed is required (no wall-clock default)", file=sys.stderr)
-            return 2
-        config = harness.ExperimentConfig(
-            model=args.model,
-            k_values=tuple(args.k),
-            L_values=tuple(args.L),
-            q_values=tuple(args.q) if args.q else None,
-            s_values=tuple(args.s) if args.s else None,
-            trials=args.trials,
-            seed=args.seed,
-            output=args.output,
-            format=args.format,
-        )
+    if not args.config and args.seed is None:
+        print("error: --seed is required (no wall-clock default)", file=sys.stderr)
+        return 2
+    try:
+        if args.config:
+            config = harness.ExperimentConfig.from_json(args.config)
+        else:
+            config = harness.ExperimentConfig(
+                model=args.model,
+                k_values=tuple(args.k),
+                L_values=tuple(args.L),
+                q_values=tuple(args.q) if args.q else None,
+                s_values=tuple(args.s) if args.s else None,
+                trials=args.trials,
+                seed=args.seed,
+                output=args.output,
+                format=args.format,
+            )
+    except (OSError, ValueError) as exc:  # bad grid or --trials, unreadable --config
+        return _usage_error(exc)
     results = harness.scan_threshold(config)
     if config.output:
         harness.write_results(results, config.output, config.format)
@@ -222,9 +227,12 @@ def _cmd_scan(args):
 
 
 def _cmd_trend(args):
-    report = harness.trend_check_theorem1(
-        args.k, args.s, trials=args.trials, seed=args.seed, model=args.model
-    )
+    try:
+        report = harness.trend_check_theorem1(
+            args.k, args.s, trials=args.trials, seed=args.seed, model=args.model
+        )
+    except ValueError as exc:  # bad --k/--s/--trials, rejected before any trial
+        return _usage_error(exc)
     print(report.to_json())
 
 

@@ -49,7 +49,8 @@ import numpy as np
 from .gap_process import GapProcess, rho_exact
 from .special_fn import fk_eval
 from .lattice import (
-    CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, run_to_fixpoint, to_text,
+    CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, reference_fixpoint,
+    to_text,
 )
 
 __all__ = [
@@ -641,24 +642,24 @@ def _run_case(results: List[CaseResult], models: List[ModelSpec],
     Each trial configuration is built once and decided under every model,
     `results[i]` counting for `models[i]`.  The bitboard closure decides
     each trial, stopping once the square is filled.  A trial it fails is
-    run again through `run_to_fixpoint`, which gives the counterexample
-    snapshot and cross-checks the verdict.
+    run again through `reference_fixpoint`, the naive oracle, which gives
+    the counterexample snapshot and cross-checks the verdict.
     """
     for seed in seeds:
         lat = build(seed)
-        L, cells = lat.width, lat.cells.reshape(-1)
-        square = sum(((1 << side) - 1) << (y * L) for y in range(side))  # R(side, side)
+        W, cells = lat.width, lat.cells.reshape(-1)
+        square = sum(((1 << side) - 1) << (y * W) for y in range(side))  # R(side, side)
         start = pack_board(cells == CellState.ACTIVE)
         occupied = pack_board(cells == CellState.OCCUPIED)
         for res, model in zip(results, models):
-            active = bitboard_closure(model, L, start, occupied,
-                                      stop=lambda board: board & square == square)
+            active, _ = bitboard_closure(model, W, lat.height, start, occupied,
+                                         stop=lambda board: board & square == square)
             if active & square == square:
                 continue
-            fixed, _, converged = run_to_fixpoint(lat, model)
-            if not converged or np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
+            fixed, _ = reference_fixpoint(lat, model)
+            if np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
                 raise AssertionError(
-                    f"bitboard closure and run_to_fixpoint disagree on {res.kind} seed {seed}"
+                    f"bitboard closure and reference_fixpoint disagree on {res.kind} seed {seed}"
                 )
             res.violations += 1
             if res.counterexample is None:

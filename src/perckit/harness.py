@@ -82,11 +82,18 @@ class ExperimentConfig:
             object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
         if self.s_values is not None:
             object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
+        if min(self.L_values) < 1:
+            raise ValueError("window sizes L must be >= 1")
+        for k, q, _, _ in self.points():  # a bad k, q or s fails here, before any trial
+            ModelSpec(variant=_variant_for(self.model, k), k=k, q=q)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        missing = [key for key in ("model", "k_values", "L_values", "seed") if key not in raw]
+        if missing:
+            raise ValueError(f"config file {path} lacks {', '.join(missing)}")
         return cls(
             model=raw["model"],
             k_values=tuple(raw["k_values"]),
@@ -309,14 +316,16 @@ def trend_check_theorem1(
         not s1 > s2 for s1, s2 in zip(s_values, s_values[1:])
     ):
         raise ValueError("s_grid must be strictly decreasing with at least two points")
+    if not all(0.0 < s < math.inf for s in s_values):
+        raise ValueError("s values must be positive and finite")
     if model is None:
         model = "local" if k >= 2 else "modified"
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    specs = [ModelSpec(variant=_variant_for(model, k), k=k, q=math.exp(-s)) for s in s_values]
     results = []
-    for idx, s in enumerate(s_values):
+    for idx, (s, spec) in enumerate(zip(s_values, specs)):
         L = L_rule(s)
-        spec = ModelSpec(variant=_variant_for(model, k), k=k, q=math.exp(-s))
         point_seed = derive_seed(seed, idx)
         successes = _boundary_trials(spec, L, trials, point_seed)
         results.append((s, L, successes, point_seed))

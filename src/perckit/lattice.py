@@ -26,18 +26,20 @@ growth claims.
 Coordinates are (x, y) with x the column and y the row; grids are stored
 as uint8 arrays indexed [y, x].
 
-Two engines compute the same closure.  `step` / `run_to_fixpoint` /
-`reaches_boundary` work on a `Lattice` with shifted numpy arrays; they
-serve `simulate`, the counterexample snapshots of the growth-event
-checks, and the tests as the oracle, with `step_reference` (a
-deliberately naive per-cell step) as the oracle for `step` itself.
-`bitboard_closure` is the Monte Carlo path for the local variants: the
-window packed into Python-int bitboards, each generation a few dozen
-shifts, ANDs and ORs, from any Active start set, with an optional stop
-test after each generation.  `harness` runs its boundary-reach trials
-through `bitboard_reaches_far_edge` (stop at the first far-edge
-activation), and `growth_events` its D_k/J_k/E_k trials (stop once the
-target square is Active).
+One engine implements the rules.  `bitboard_closure` packs a W x H window
+into Python-int bitboards, bit y*W + x for cell (x, y), and runs each
+synchronous generation as a few dozen shifts, ANDs and ORs on whole
+boards, from any Active start set, with an optional stop test and a
+generation budget.  `step` (one generation) and `run_to_fixpoint` pack a
+`Lattice`, run the closure and unpack the result; they serve `simulate`
+and the tests.  `harness` runs its boundary-reach trials through
+`bitboard_reaches_far_edge` (stop at the first far-edge activation), and
+`growth_events` its D_k/J_k/E_k trials (stop once the target square is
+Active).
+
+The oracles share no code with the engine: `step_reference` is a
+deliberately naive per-cell step, `reference_fixpoint` iterates it to the
+fixpoint, and `reaches_boundary` walks the origin's Active cluster.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "step",
     "step_reference",
     "run_to_fixpoint",
+    "reference_fixpoint",
     "spans",
     "reaches_boundary",
     "pack_board",
@@ -113,18 +116,16 @@ class ModelSpec:
 
 @dataclass
 class Lattice:
-    """A bounded window of Z^2 with per-cell state and growth history.
+    """A bounded window of Z^2 with per-cell state.
 
-    `cells[y, x]` holds a CellState value; `generation` counts synchronous
-    steps taken; `gen_stamp[y, x]` records the step at which a cell became
-    Active (-1 if never).  `origin` is the distinguished localized-growth
-    site in (x, y) coordinates.
+    `cells[y, x]` holds a CellState value.  `origin` is the distinguished
+    localized-growth site in (x, y) coordinates.  `converged` marks a
+    lattice that `run_to_fixpoint` or `reference_fixpoint` left at its
+    fixpoint.
     """
 
     cells: np.ndarray
     origin: Tuple[int, int] = (0, 0)
-    generation: int = 0
-    gen_stamp: Optional[np.ndarray] = None
     converged: bool = False
 
     def __post_init__(self):
@@ -136,10 +137,6 @@ class Lattice:
         ox, oy = self.origin
         if not (0 <= ox < self.width and 0 <= oy < self.height):
             raise ValueError("origin out of bounds")
-        if self.gen_stamp is None:
-            stamp = np.full(self.cells.shape, -1, dtype=np.int32)
-            stamp[self.cells == CellState.ACTIVE] = 0
-            self.gen_stamp = stamp
 
     @property
     def width(self) -> int:
@@ -153,13 +150,7 @@ class Lattice:
         return self.cells == CellState.ACTIVE
 
     def copy(self) -> "Lattice":
-        return Lattice(
-            cells=self.cells.copy(),
-            origin=self.origin,
-            generation=self.generation,
-            gen_stamp=self.gen_stamp.copy(),
-            converged=self.converged,
-        )
+        return Lattice(cells=self.cells.copy(), origin=self.origin, converged=self.converged)
 
 
 def sample_initial(
@@ -195,92 +186,8 @@ def sample_initial(
     return Lattice(cells=cells, origin=origin)
 
 
-def _shift(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """mask translated by (dx, dy), zero-filled (outside the window is Empty)."""
-    h, w = mask.shape
-    out = np.zeros_like(mask)
-    if abs(dx) >= w or abs(dy) >= h:
-        return out  # shifted wholly outside; the slices below would wrap
-    # branches, not max(): this runs hundreds of thousands of times per verify
-    if dy >= 0:
-        ys_src, ys_dst = slice(0, h - dy), slice(dy, h)
-    else:
-        ys_src, ys_dst = slice(-dy, h), slice(0, h + dy)
-    if dx >= 0:
-        xs_src, xs_dst = slice(0, w - dx), slice(dx, w)
-    else:
-        xs_src, xs_dst = slice(-dx, w), slice(0, w + dx)
-    out[ys_dst, xs_dst] = mask[ys_src, xs_src]
-    return out
-
-
-def _cross_count(active: np.ndarray, k: int) -> np.ndarray:
-    """Number of Active cells in the (k-1)-cross N_k around each cell."""
-    count = np.zeros(active.shape, dtype=np.int16)
-    for v in range(1, k):
-        for dx, dy in ((v, 0), (-v, 0), (0, v), (0, -v)):
-            count += _shift(active, dx, dy)
-    return count
-
-
-def _ball_hit(active: np.ndarray, radius: int, norm: str) -> np.ndarray:
-    """Whether any Active cell lies within the given ball (center excluded)."""
-    hit = np.zeros(active.shape, dtype=bool)
-    for dx in range(-radius, radius + 1):
-        for dy in range(-radius, radius + 1):
-            if dx == 0 and dy == 0:
-                continue
-            if norm == "l1" and abs(dx) + abs(dy) > radius:
-                continue
-            hit |= _shift(active, dx, dy)
-    return hit
-
-
-def _newly_active(cells: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    active = cells == CellState.ACTIVE
-    empty = cells == CellState.EMPTY
-    occupied = cells == CellState.OCCUPIED
-    k = spec.k
-    if spec.variant is Variant.GLOBAL_K:
-        new = ~active & (_cross_count(active, k) >= k)
-    elif spec.variant is Variant.LOCAL_K:
-        occ_rule = occupied & _ball_hit(active, k, "l1")
-        empty_rule = empty & (_cross_count(active, k) >= k)
-        new = occ_rule | empty_rule
-    elif spec.variant is Variant.LOCAL_MODIFIED:
-        occ_rule = occupied & _ball_hit(active, 1, "linf")
-        vert = _shift(active, 0, 1) | _shift(active, 0, -1)
-        horiz = _shift(active, 1, 0) | _shift(active, -1, 0)
-        new = occ_rule | (empty & vert & horiz)
-    elif spec.variant is Variant.LOCAL_FROBOSE:
-        occ_rule = occupied & _ball_hit(active, 1, "l1")
-        corner = np.zeros(cells.shape, dtype=bool)
-        for dy in (1, -1):
-            for dx in (1, -1):
-                corner |= (
-                    _shift(active, 0, dy) & _shift(active, dx, 0) & _shift(active, dx, dy)
-                )
-        new = occ_rule | (empty & corner)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {spec.variant}")
-    return new
-
-
-def step(lattice: Lattice, spec: ModelSpec) -> Tuple[Lattice, bool]:
-    """One synchronous generation; returns (next lattice, anything changed)."""
-    new = _newly_active(lattice.cells, spec)
-    changed = bool(new.any())
-    out = lattice.copy()
-    out.converged = False
-    if changed:
-        out.generation = lattice.generation + 1
-        out.cells[new] = CellState.ACTIVE
-        out.gen_stamp[new] = out.generation
-    return out, changed
-
-
 def step_reference(lattice: Lattice, spec: ModelSpec) -> Tuple[Lattice, bool]:
-    """Naive per-cell synchronous step; differential oracle for `step`."""
+    """Naive per-cell synchronous step; the oracle for `step` and the closure."""
     h, w = lattice.cells.shape
     grid = lattice.cells.tolist()
     k = spec.k
@@ -343,37 +250,24 @@ def step_reference(lattice: Lattice, spec: ModelSpec) -> Tuple[Lattice, bool]:
 
     out = lattice.copy()
     out.converged = False
-    if new:
-        out.generation = lattice.generation + 1
-        for x, y in new:
-            out.cells[y, x] = CellState.ACTIVE
-            out.gen_stamp[y, x] = out.generation
+    for x, y in new:
+        out.cells[y, x] = CellState.ACTIVE
     return out, bool(new)
 
 
-def run_to_fixpoint(
-    lattice: Lattice, spec: ModelSpec, max_steps: Optional[int] = None
-) -> Tuple[Lattice, int, bool]:
-    """Iterate `step` until nothing changes or the budget runs out.
+def reference_fixpoint(lattice: Lattice, spec: ModelSpec) -> Tuple[Lattice, int]:
+    """Iterate `step_reference` until nothing changes: (fixpoint, productive steps).
 
-    The rules are monotone, so the fixpoint is unique; any window converges
-    within width*height productive steps, the default budget.
+    The oracle for `run_to_fixpoint` and the closure.  The rules are
+    monotone, so the loop ends within width*height productive steps.
     """
-    if max_steps is None:
-        max_steps = lattice.width * lattice.height + 1
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    cur = lattice
-    for taken in range(max_steps):
-        cur, changed = step(cur, spec)
-        if not changed:
-            cur.converged = True
-            return cur, taken, True
-    cur, changed = step(cur, spec)
-    if not changed:
-        cur.converged = True
-        return cur, max_steps, True
-    return cur, max_steps, False
+    cur, changed = step_reference(lattice, spec)
+    steps = 0
+    while changed:
+        steps += 1
+        cur, changed = step_reference(cur, spec)
+    cur.converged = True
+    return cur, steps
 
 
 def _require_fixpoint(lattice: Lattice):
@@ -453,21 +347,27 @@ def reaches_boundary(lattice: Lattice, spec: ModelSpec) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _board_masks(L: int, reach: int) -> Tuple[int, int, List[int], List[int]]:
-    """(all cells, far-edge cells, plus, minus) for an L x L bitboard.
+def _board_masks(width: int, height: int, reach: int) -> Tuple[int, int, List[int], List[int]]:
+    """(all cells, far-edge cells, plus, minus) for a width x height bitboard.
 
+    The far edges are the top row and the right column, unless they pass
+    through the origin (0, 0) (see `bitboard_reaches_far_edge`).
     plus[v] / minus[v] keep the columns that a horizontal shift by +v / -v
     may land in; masking with them drops the bits that the row-major shift
     carries across a row end instead of out of the window.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    full = (1 << (L * L)) - 1
-    first_column = full // ((1 << L) - 1)  # bit y*L of every row y
-    row = (1 << L) - 1
+    if width < 1 or height < 1:
+        raise ValueError("window dimensions must be >= 1")
+    row = (1 << width) - 1
+    full = (1 << (width * height)) - 1
+    first_column = full // row  # bit y*width of every row y
     plus = [first_column * (row & ~((1 << v) - 1)) for v in range(reach + 1)]
-    minus = [first_column * ((1 << max(L - v, 0)) - 1) for v in range(reach + 1)]
-    far = (full ^ ((1 << (L * (L - 1))) - 1)) | (first_column << (L - 1)) if L > 1 else 0
+    minus = [first_column * ((1 << max(width - v, 0)) - 1) for v in range(reach + 1)]
+    far = 0
+    if height > 1:
+        far |= row << (width * (height - 1))
+    if width > 1:
+        far |= first_column << (width - 1)
     return full, far, plus, minus
 
 
@@ -478,37 +378,43 @@ def pack_board(mask: np.ndarray) -> int:
 
 def bitboard_closure(
     spec: ModelSpec,
-    L: int,
+    width: int,
+    height: int,
     active: int,
     occupied: int,
     stop: Optional[Callable[[int], object]] = None,
-) -> int:
-    """The Active board of the localized closure on an L x L window.
+    budget: Optional[int] = None,
+) -> Tuple[int, int]:
+    """(Active board, generations run) of the closure on a width x height window.
 
-    The window is packed row-major into Python ints, bit y*L + x for cell
-    (x, y) (see `pack_board`).  `active` and `occupied` are the start
-    boards; every other cell is Empty.  Each synchronous generation applies
-    the rule to whole boards (Active, Occupied-not-active, Empty):
+    The window is packed row-major into Python ints, bit y*width + x for
+    cell (x, y) (see `pack_board`).  `active` and `occupied` are the start
+    boards; every other cell is Empty, and the global rule counts Occupied
+    cells as Empty too.  Each synchronous generation applies the rule to
+    whole boards (Active, Occupied-not-active, Empty):
 
-    * local k: an Occupied cell fires when the l1 ball of radius k around
-      it holds an Active cell (k dilations by the l1 unit ball); an Empty
-      cell fires on at least k Active cells among its 4(k-1) cross
-      neighbours, counted by a saturating bit-sliced counter;
+    * global and local k: an Empty cell fires on at least k Active cells
+      among its 4(k-1) cross neighbours, counted by a saturating bit-sliced
+      counter; under local k an Occupied cell fires when the l1 ball of
+      radius k around it holds an Active cell (k dilations by the l1 unit
+      ball);
     * modified and Frobose: boolean algebra on the shifted boards.
 
-    Without `stop` the result is the Active set of `run_to_fixpoint` on
-    the same window.  `stop(active)` is tested on the start board and
-    after every generation, and ends the loop once true.  The rules are
-    monotone, so for a test that stays true once it holds (some cell of a
-    set Active, every cell of a set Active) the test reads the same on the
-    returned board as on the fixpoint.  The loop also ends at the first
-    generation that activates nothing; every generation before that
-    activates at least one of the L*L cells, so no step budget is needed.
+    The loop ends at the first generation that activates nothing (the
+    fixpoint), after `budget` generations that each activated something, or
+    once `stop(active)` holds; the test is tried on the start board and
+    after every generation.  The rules are monotone, so for a test that
+    stays true once it holds (some cell of a set Active, every cell of a set
+    Active) the test reads the same on the returned board as on the
+    fixpoint.  The default budget never binds: every generation that is run
+    activates at least one of the width*height cells.
     """
     variant, k = spec.variant, spec.k
-    if not spec.is_local:
-        raise ValueError("the bitboard closure needs a localized model variant")
-    full, _, plus, minus = _board_masks(L, max(k - 1, 1))
+    full, _, plus, minus = _board_masks(width, height, max(k - 1, 1))
+    if budget is None:
+        budget = width * height
+    elif budget < 0:
+        raise ValueError("budget must be nonnegative")
 
     def shift(board, dx, dy):
         """board translated by (dx, dy); cells leaving the window are dropped."""
@@ -517,21 +423,19 @@ def bitboard_closure(
         elif dx < 0:
             board = (board >> -dx) & minus[-dx]
         if dy > 0:
-            board = (board << (dy * L)) & full
+            board = (board << (dy * width)) & full
         elif dy < 0:
-            board >>= -dy * L
+            board >>= -dy * width
         return board
 
     active &= full
-    occupied &= full & ~active
+    occupied = 0 if variant is Variant.GLOBAL_K else occupied & full & ~active
     empty = full & ~(active | occupied)
-    while stop is None or not stop(active):
-        if variant is Variant.LOCAL_K:
-            ball = active
-            for _ in range(k):
-                ball |= (
-                    shift(ball, 1, 0) | shift(ball, -1, 0) | shift(ball, 0, 1) | shift(ball, 0, -1)
-                )
+    counts_cross = variant is Variant.GLOBAL_K or variant is Variant.LOCAL_K
+    for generations in range(budget):
+        if stop is not None and stop(active):
+            break
+        if counts_cross:
             at_least = [0] * (k + 1)  # at_least[j]: j or more Active cross neighbours seen
             for v in range(1, k):
                 for dx, dy in ((v, 0), (-v, 0), (0, v), (0, -v)):
@@ -539,7 +443,13 @@ def bitboard_closure(
                     for j in range(k, 1, -1):
                         at_least[j] |= at_least[j - 1] & hit
                     at_least[1] |= hit
-            new = (occupied & ball) | (empty & at_least[k])
+            new = empty & at_least[k]
+            if variant is Variant.LOCAL_K:
+                ball = active
+                for _ in range(k):
+                    ball |= (shift(ball, 1, 0) | shift(ball, -1, 0)
+                             | shift(ball, 0, 1) | shift(ball, 0, -1))
+                new |= occupied & ball
         else:
             right, left = shift(active, 1, 0), shift(active, -1, 0)
             up, down = shift(active, 0, 1), shift(active, 0, -1)
@@ -558,7 +468,54 @@ def bitboard_closure(
         active |= new
         occupied &= ~new
         empty &= ~new
-    return active
+    else:  # each of the `budget` generations activated something
+        generations = budget
+    return active, generations
+
+
+def _run_closure(lattice: Lattice, spec: ModelSpec, budget: int) -> Tuple[Lattice, int]:
+    """`bitboard_closure` on a `Lattice`: (the lattice it leaves, generations run)."""
+    cells = lattice.cells
+    active, generations = bitboard_closure(
+        spec, lattice.width, lattice.height,
+        pack_board(cells == CellState.ACTIVE), pack_board(cells == CellState.OCCUPIED),
+        budget=budget,
+    )
+    n = cells.size
+    now_active = np.unpackbits(
+        np.frombuffer(active.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+        count=n, bitorder="little",
+    ).reshape(cells.shape)
+    out = cells.copy()
+    out[now_active.astype(bool)] = CellState.ACTIVE
+    return Lattice(cells=out, origin=lattice.origin), generations
+
+
+def step(lattice: Lattice, spec: ModelSpec) -> Tuple[Lattice, bool]:
+    """One synchronous generation; returns (next lattice, anything changed)."""
+    out, generations = _run_closure(lattice, spec, budget=1)
+    return out, generations == 1
+
+
+def run_to_fixpoint(
+    lattice: Lattice, spec: ModelSpec, max_steps: Optional[int] = None
+) -> Tuple[Lattice, int, bool]:
+    """Run generations until one changes nothing or the budget runs out.
+
+    Returns (lattice, steps, converged), `steps` counting the generations
+    that changed something.  The rules are monotone, so the fixpoint is
+    unique; any window converges within width*height productive steps, the
+    default budget.  If the generation after `max_steps` productive ones
+    still changes something, the lattice includes it, `steps` is
+    `max_steps` and `converged` is False.
+    """
+    if max_steps is None:
+        max_steps = lattice.width * lattice.height + 1
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+    out, generations = _run_closure(lattice, spec, budget=max_steps + 1)
+    out.converged = generations <= max_steps
+    return out, min(generations, max_steps), out.converged
 
 
 def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
@@ -576,8 +533,10 @@ def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
     there is no far cell.  The closure stops at the first generation that
     activates a far-edge cell.
     """
-    far = _board_masks(L, max(spec.k - 1, 1))[1]
-    active = bitboard_closure(spec, L, 1, nonempty & ~1, stop=lambda board: board & far)
+    if not spec.is_local:
+        raise ValueError("far-edge reach by closure needs a localized model variant")
+    far = _board_masks(L, L, max(spec.k - 1, 1))[1]
+    active, _ = bitboard_closure(spec, L, L, 1, nonempty & ~1, stop=lambda board: board & far)
     return bool(active & far)
 
 

@@ -265,6 +265,36 @@ class TestSimulationCommands:
         code, out, _ = run_cli(capsys, "scan", "--config", str(cfg))
         assert outpath.read_text().strip().splitlines()[1:] == lines[1:]
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--seed", "1", "--trials", "5"],  # neither --q nor --s
+        ["scan", "--q", "0.5", "--L", "0", "--seed", "1"],
+        ["scan", "--q", "1.5", "--L", "4", "--seed", "1"],
+        ["scan", "--s", "-1", "--L", "4", "--seed", "1"],
+        ["scan", "--k", "0", "--q", "0.5", "--L", "4", "--seed", "1"],
+        ["scan", "--model", "modified", "--k", "2", "--q", "0.5", "--L", "4", "--seed", "1"],
+        ["scan", "--q", "0.5", "--L", "4", "--trials", "0", "--seed", "1"],
+        ["scan", "--config", "no-such-config.json"],
+        ["scan", "--config", "no-seed.json"],
+        ["simulate", "--model", "local", "--k", "1", "--q", "0.5", "--L", "8", "--seed", "1"],
+        ["simulate", "--model", "local", "--k", "2", "--q", "0.5", "--L", "0", "--seed", "1"],
+        ["simulate", "--model", "global", "--k", "2", "--q", "1.5", "--L", "4", "--seed", "1"],
+        ["trend", "--k", "2", "--s", "0.1", "0.2", "--trials", "5", "--seed", "1"],
+        ["trend", "--k", "2", "--s", "0.5", "0", "--trials", "5", "--seed", "1"],
+        ["trend", "--k", "2", "--s", "inf", "0.5", "--trials", "5", "--seed", "1"],
+        ["trend", "--k", "2", "--s", "0.5", "0.4", "--trials", "0", "--seed", "1"],
+        ["trend", "--k", "1", "--s", "0.5", "0.4", "--trials", "5", "--seed", "1",
+         "--model", "local"],
+    ])
+    def test_scan_simulate_trend_reject_bad_input(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no-seed.json").write_text(
+            json.dumps({"model": "local", "k_values": [2], "L_values": [8], "q_values": [0.6]})
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_scan_requires_seed(self, capsys):
         code, _, err = run_cli(
             capsys, "scan", "--model", "local", "--k", "2", "--q", "0.6", "--L", "8",

@@ -405,7 +405,7 @@ class TestTrialRunner:
         ]
 
     def test_oracle_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(growth_events, "bitboard_closure", lambda *args, **kwargs: 0)
+        monkeypatch.setattr(growth_events, "bitboard_closure", lambda *args, **kwargs: (0, 0))
         build = functools.partial(_planted_trial, 6, 6)
         with pytest.raises(AssertionError, match="disagree"):
             _run_case([CaseResult("dk", 2, "local", 4, 9, 1, 0)], [self.model], build,

@@ -17,6 +17,7 @@ from perckit.lattice import (
     is_good_configuration,
     read_snapshot,
     reaches_boundary,
+    reference_fixpoint,
     run_to_fixpoint,
     sample_initial,
     spans,
@@ -100,6 +101,26 @@ class TestHandDerivedFixpoints:
         fixed, steps, converged = run_to_fixpoint(Lattice(cells=cells), spec)
         assert converged and steps == 0
         assert np.array_equal(fixed.cells, cells)
+
+    def test_fixpoint_budget(self):
+        # one pending activation: the middle of a 3 x 1 strip sees 2 Active neighbours
+        spec = ModelSpec(Variant.GLOBAL_K, k=2, q=0.5)
+        lat = Lattice(cells=np.array([[A, E, A]], dtype=np.uint8))
+        fixed, steps, converged = run_to_fixpoint(lat, spec, max_steps=0)
+        assert (steps, converged, fixed.converged) == (0, False, False)
+        assert np.all(fixed.cells == A)  # the generation that found the change is kept
+        with pytest.raises(ValueError):
+            run_to_fixpoint(lat, spec, max_steps=-1)
+        fixed, steps, converged = run_to_fixpoint(lat, spec)
+        assert (steps, converged, fixed.converged) == (1, True, True)
+        # an occupied row grows one cell a generation under the modified rule
+        spec = ModelSpec(Variant.LOCAL_MODIFIED, k=1, q=0.5)
+        cells = np.full((1, 8), O, dtype=np.uint8)
+        cells[0, 0] = A
+        fixed, steps, converged = run_to_fixpoint(Lattice(cells=cells), spec, max_steps=3)
+        assert (steps, converged) == (3, False)
+        assert np.sum(fixed.cells == A) == 5
+        assert run_to_fixpoint(Lattice(cells=cells), spec, max_steps=7)[1:] == (7, True)
 
     def test_frobose_corner_rule(self):
         # active at (1,0), (0,1), and corner (0,0): empty (1,1) fires
@@ -307,7 +328,7 @@ class TestBitboardClosure:
             nonempty[0, 0] = True
             cells = np.where(nonempty, np.uint8(O), np.uint8(E))
             cells[0, 0] = A
-            fixed, _, _ = run_to_fixpoint(Lattice(cells=cells), spec)
+            fixed, _ = reference_fixpoint(Lattice(cells=cells), spec)
             assert bitboard_reaches_far_edge(spec, L, _pack(nonempty)) == reaches_boundary(
                 fixed, spec
             )
@@ -335,50 +356,60 @@ class TestBitboardClosure:
             assert not bitboard_reaches_far_edge(spec, L, _pack(bits))
 
     def test_rejects_global(self):
+        # Active cells of a global sample need not join the origin's cluster
         with pytest.raises(ValueError):
             bitboard_reaches_far_edge(ModelSpec(Variant.GLOBAL_K, k=2, q=0.5), 4, 1)
-        with pytest.raises(ValueError):
-            bitboard_closure(ModelSpec(Variant.GLOBAL_K, k=2, q=0.5), 4, 1, 0)
+
+
+_GLOBAL_SPECS = [(Variant.GLOBAL_K, k) for k in (1, 2, 3, 4)]
 
 
 @st.composite
 def _closure_windows(draw):
-    """(spec, cells, side): a random window with a random or rectangular Active start set."""
-    variant, k = draw(st.sampled_from(_LOCAL_SPECS))
-    L = draw(st.integers(1, 40))
+    """(spec, cells, side): a random W x H window with a random or rectangular Active start set.
+
+    Global windows keep their Occupied cells, which the global rule counts as Empty.
+    """
+    variant, k = draw(st.sampled_from(_LOCAL_SPECS + _GLOBAL_SPECS))
+    W, H = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     # the endpoints, anything, and the range where growth is near critical
     q = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(0.3, 0.9)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cells = np.where(rng.random((L, L)) < 1.0 - q, np.uint8(O), np.uint8(E))
+    cells = np.where(rng.random((H, W)) < 1.0 - q, np.uint8(O), np.uint8(E))
     if draw(st.booleans()):  # a forced Active rectangle at the origin
-        cells[: draw(st.integers(1, L)), : draw(st.integers(1, L))] = A
+        cells[: draw(st.integers(1, H)), : draw(st.integers(1, W))] = A
     else:
-        cells[rng.random((L, L)) < draw(st.floats(0.0, 0.1))] = A
-    return ModelSpec(variant, k=k, q=q), cells, draw(st.integers(1, L))
+        cells[rng.random((H, W)) < draw(st.floats(0.0, 0.1))] = A
+    return ModelSpec(variant, k=k, q=q), cells, draw(st.integers(1, min(W, H)))
 
 
 class TestGeneralClosure:
     @given(_closure_windows())
     @settings(max_examples=300, deadline=None)
-    def test_matches_run_to_fixpoint(self, window):
+    def test_matches_reference_fixpoint(self, window):
         spec, cells, side = window
-        L = cells.shape[0]
-        fixed, _, _ = run_to_fixpoint(Lattice(cells=cells), spec)
+        H, W = cells.shape
+        fixed, steps = reference_fixpoint(Lattice(cells=cells), spec)
         active = fixed.cells == A
         start = (_pack(cells == A), _pack(cells == O))
-        assert bitboard_closure(spec, L, *start) == _pack(active)
+        assert bitboard_closure(spec, W, H, *start) == (_pack(active), steps)
+        packed, packed_steps, converged = run_to_fixpoint(Lattice(cells=cells), spec)
+        assert np.array_equal(packed.cells, fixed.cells)
+        assert (packed_steps, converged) == (steps, True)
 
-        in_square = np.zeros((L, L), dtype=bool)
+        in_square = np.zeros((H, W), dtype=bool)
         in_square[:side, :side] = True
         square = _pack(in_square)
-        board = bitboard_closure(spec, L, *start, stop=lambda b: b & square == square)
+        board, _ = bitboard_closure(spec, W, H, *start, stop=lambda b: b & square == square)
         assert (board & square == square) == bool(active[in_square].all())
 
-        on_far_edge = np.zeros((L, L), dtype=bool)
-        if L > 1:
-            on_far_edge[L - 1, :] = on_far_edge[:, L - 1] = True
+        on_far_edge = np.zeros((H, W), dtype=bool)
+        if H > 1:
+            on_far_edge[H - 1, :] = True
+        if W > 1:
+            on_far_edge[:, W - 1] = True
         far = _pack(on_far_edge)
-        board = bitboard_closure(spec, L, *start, stop=lambda b: b & far)
+        board, _ = bitboard_closure(spec, W, H, *start, stop=lambda b: b & far)
         assert bool(board & far) == bool(active[on_far_edge].any())
 
     def test_stops_once_the_test_holds(self):
@@ -390,10 +421,9 @@ class TestGeneralClosure:
         cells[0, :] = O
         cells[0, 0] = A
         target = 1 << 3
-        board = bitboard_closure(spec, L, _pack(cells == A), _pack(cells == O),
-                                 stop=lambda b: b & target)
-        assert board == 0b1111
-        assert bitboard_closure(spec, L, _pack(cells == A), _pack(cells == O)) == 0xFF
+        start = (_pack(cells == A), _pack(cells == O))
+        assert bitboard_closure(spec, L, L, *start, stop=lambda b: b & target) == (0b1111, 3)
+        assert bitboard_closure(spec, L, L, *start) == (0xFF, 7)
 
 
 class TestGrowthSequence:
