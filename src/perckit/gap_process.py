@@ -26,7 +26,13 @@ the lower for increasing or decreasing u, the upper for increasing u
 The parametric family u_i = 1 - e^{-i s} drives everything percolation
 related; its n -> infinity limit P(A_k) is bracketed rigorously here, and
 satisfies exp(-lambda_k/s) <= P(A_k) <= s^{-(2k-1)/(2k)} exp(-lambda_k/s)
-up to the multiplicative 1+o(1) of the upper bound.
+up to the multiplicative 1+o(1) of the upper bound.  At small s that takes
+N ~ 20/s to 30/s terms, so `prob_ak` runs the same state form as products
+of k x k step matrices: blocks of about sqrt(N) steps built at once in
+numpy, then folded into the state (`_log_rho_blocked`, with its own
+rounding bound).  `rho_exact` stays the engine for explicit sequences and
+for whole traces, and the fallback wherever the block products would meet
+a subnormal number.
 """
 
 from __future__ import annotations
@@ -70,6 +76,12 @@ _TABLE_CHUNK = 1024
 # rho_exact rescales its state by a power of two once rho falls below this.
 _RESCALE_BELOW = 1e-100
 _LN2 = math.log(2.0)
+# The smallest normal double; `_log_rho_blocked` refuses anything below it.
+_TINY = 2.0**-1022
+# `_log_rho_blocked` never cuts its blocks shorter than this.
+_MIN_BLOCK = 16
+# `prob_ak` sums its tail this many points per gk_eval call.
+_TAIL_CHUNK = 16384
 
 
 class MonotonicityError(ValueError):
@@ -377,10 +389,131 @@ def rho_rounding_bound(k: int, s: float, n: int) -> float:
     return 1.001 * _EPS * (arith + tables) + underflow
 
 
+def _block_length(n: int) -> int:
+    """Steps per block of `_log_rho_blocked`: about sqrt(n), at least _MIN_BLOCK."""
+    return max(_MIN_BLOCK, math.isqrt(n - 1) + 1 if n else 0)
+
+
+def _log_rho_blocked(k: int, s: float, n: int) -> Optional[float]:
+    """log rho_n for u_i = 1 - e^{-is} by block products; None if it underflows.
+
+    One step of the state form is a_m = M(u_m, v_m) a_{m-1} with v = 1 - u:
+    row 0 of M is u times the column sums, row r is v times row r - 1.  The
+    indices 1..n are cut into nb = ceil(n/B) blocks of B steps (B from
+    `_block_length`); the last block is padded with steps u = 1, v = 0,
+    which turn a state into (its sum, 0, ..., 0) and leave its sum alone.
+    All blocks' products are built at once, B numpy steps vectorised over
+    the block axis; a block whose first column sum (the largest, since fewer
+    trailing failures never hurt) falls below 1e-100 is scaled up by an
+    exact power of two, with one exponent per block.  A Python loop then
+    folds the nb products into the state (k products and k - 1 sums per
+    entry) with `rho_exact`'s rescale.
+
+    Tables, every value from libm (numpy's exp/expm1 carry no documented
+    error bound): with i = bB + j, v_i = fl(e^{-fl(bB s)} e^{-fl(j s)}), an
+    outer product of two libm tables of length nb and B; u_i = fl(1 - v_i)
+    where v_i <= 1/2, and u_i = -expm1(-fl(i s)) elsewhere.
+
+    Returns None, and the caller runs `rho_exact` instead, when a libm table
+    value is below the smallest normal double or a numpy product underflows
+    (numpy reports it from the floating-point status flags), so no
+    subnormal intermediate ever enters the result.  The rounding is bounded
+    by `_blocked_rounding_bound`.
+    """
+    if n < k:
+        return 0.0  # rho_n = 1 exactly
+    block = _block_length(n)
+    nb = -(-n // block)
+    step = list(map(math.exp, (np.arange(1, block + 1, dtype=float) * -s).tolist()))
+    base = list(map(math.exp, (np.arange(0, nb * block, block, dtype=float) * -s).tolist()))
+    if min(step) < _TINY or min(base) < _TINY:
+        return None
+    try:
+        with np.errstate(under="raise"):
+            v = np.multiply.outer(step, base)  # v[j - 1, b] is v_i, i = bB + j
+            fill = n - (nb - 1) * block
+            v[fill:, -1] = 0.0
+            u = 1.0 - v
+            near_one = np.nonzero(v > 0.5)
+            i = near_one[1] * block + near_one[0] + 1
+            u[near_one] = [-x for x in map(math.expm1, (i * -s).tolist())]
+            if u.min() < _TINY:
+                return None
+
+            prod = np.zeros((k, k, nb))  # prod[r, c, b]: block b's matrix
+            for r in range(k):
+                prod[r, r] = 1.0
+            spare = np.empty_like(prod)
+            exps = np.zeros(nb, dtype=np.int64)
+            for uj, vj in zip(u, v):
+                total = prod.sum(axis=0)
+                if total[0].min() < _RESCALE_BELOW:
+                    low = total[0] < _RESCALE_BELOW
+                    e = np.frexp(total[0, low])[1]
+                    prod[:, :, low] = np.ldexp(prod[:, :, low], -e)
+                    total[:, low] = np.ldexp(total[:, low], -e)
+                    exps[low] += e
+                np.multiply(prod[:-1], vj, out=spare[1:])
+                np.multiply(total, uj, out=spare[0])
+                prod, spare = spare, prod
+
+            state = np.zeros(k)
+            state[0] = 1.0
+            exponent = 0
+            for matrix, e in zip(np.moveaxis(prod, 2, 0), exps.tolist()):
+                state = (matrix * state).sum(axis=1)
+                exponent += e
+                if state.sum() < _RESCALE_BELOW:
+                    shift = math.frexp(state.max())[1]
+                    state = np.ldexp(state, -shift)
+                    exponent += shift
+            return math.log(state.sum()) + exponent * _LN2
+    except FloatingPointError:
+        return None
+
+
+def _blocked_rounding_bound(k: int, s: float, n: int) -> float:
+    """R with |log rho_hat_N - log rho_N| <= R for `_log_rho_blocked`.
+
+    The parts as in `rho_rounding_bound`, eps = 2^-53, c = _LIBM_ULPS:
+
+    1. Tables.  fl(bB s) and fl(j s) are within bB s eps and j s eps of
+       the exact products, so e^{-fl(bB s)} e^{-fl(j s)} is within i s eps
+       of e^{-is} in log; the two libm values add 2c eps each and their
+       product eps.  Where v_i <= 1/2, 1 - v_i >= v_i, so fl(1 - v_i) is
+       within the same log distance plus eps of u_i; -expm1(-fl(i s)) is
+       within (2c + 1) eps (see `rho_rounding_bound`).  Every table entry
+       is within 1.001 eps (4c + 2 + i s) of the exact one, in log, and
+       rho_N moves by at most the sum over i: 1.001 eps ((4c + 2) N +
+       s N (N + 1) / 2).
+    2. Arithmetic.  A step costs every product entry at most k roundings
+       (a sum of k nonnegative entries, then one product) and a fold k
+       more (k products summed).  The final sum of the state costs k - 1,
+       unless there is padding: then the first padding step costs those
+       k - 1 (one sum; its products by 1 and 0 are exact), later padding
+       steps and the final sum add only zeros.  All terms are
+       nonnegative, so by induction rho_hat_N is within
+       (1 +- eps)^{k (N + nb) + k - 1} of its exact-arithmetic value on
+       the same tables: 1.001 eps (k (N + nb) + k - 1) in log.
+       Power-of-two rescales are exact.
+    3. Underflow: none.  `_log_rho_blocked` returns None instead of a value
+       built on a subnormal table entry or an underflowed product; a sum of
+       nonnegative normal numbers cannot underflow.
+
+    The final log(mantissa) + e ln 2 is covered by `prob_ak`, as for
+    `rho_exact`.
+    """
+    nb = -(-n // _block_length(n)) if n else 0
+    tables = (4 * _LIBM_ULPS + 2) * n + s * n * (n + 1) / 2.0
+    arith = k * (n + nb) + k - 1
+    return 1.001 * _EPS * (tables + arith)
+
+
 def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) -> PakResult:
     """Bracket P(A_k) for the parametric family to relative width <= tol.
 
-    Runs the exact recurrence to N and closes the tail with
+    Runs the exact recurrence to N (`_log_rho_blocked`, or `rho_exact` where
+    that gives up on underflow) and closes the tail with
 
         rho_N * u_N * exp(-sum_{j>N} g_k(js))  <=  P(A_k)  <=  rho_N.
 
@@ -392,8 +525,9 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     u_N correction each stay under tol/4, using g_k(z) <= 2 e^{-kz} for
     z >= 1 (verified numerically per k).
 
-    Float rounding goes outward on both ends: `rho_rounding_bound` R for
-    the recurrence, plus 8 ulps of |log rho_N| and 2^-50 for the final
+    Float rounding goes outward on both ends: R for the recurrence (the
+    larger of `_blocked_rounding_bound` and `rho_rounding_bound`, so it
+    holds for either engine), plus 8 ulps of |log rho_N| and 2^-50 for the final
     log(mantissa) + e ln 2 (a log of a number in [1/2, 1), fl(ln 2) times
     e, their product and sum) and the float sums that form the two ends;
     the tail sum and log u_N are below tol/4 in size, so their own rounding
@@ -420,21 +554,26 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     n = int(math.ceil(max(n_tail, n_un, 1.0 / s, k + 1)))
     if n > max_terms:
         raise ValueError(f"tol {tol} at s={s} needs N={n} > budget {max_terms}")
-    rounding = rho_rounding_bound(k, s, n)
+    # whichever engine computes rho_N below, its rounding is within this
+    rounding = max(_blocked_rounding_bound(k, s, n), rho_rounding_bound(k, s, n))
     if rounding > tol / 4:
         raise ValueError(
             f"tol {tol} at s={s}: the rounding bound {rounding:.3g} of the recurrence "
             f"to N={n} exceeds tol/4"
         )
 
-    process = GapProcess.parametric(k, s)
-    log_rho_n = rho_exact(process, n).log_final
+    log_rho_n = _log_rho_blocked(k, s, n)
+    if log_rho_n is None:  # a subnormal intermediate: the scalar recurrence
+        log_rho_n = rho_exact(GapProcess.parametric(k, s), n).log_final
 
     # tail sum, overestimated (only lowers the lower bracket): numeric part
-    # to M, then the geometric remainder bound
+    # to M, _TAIL_CHUNK points per gk_eval call, then the geometric
+    # remainder bound
     m_stop = n + int(math.ceil(45.0 / ks)) + 1
-    j = np.arange(n + 1, m_stop + 1, dtype=float)
-    tail = float(np.sum(gk_eval(k, j * s)))
+    tail = 0.0
+    for lo in range(n + 1, m_stop + 1, _TAIL_CHUNK):
+        j = np.arange(lo, min(lo + _TAIL_CHUNK, m_stop + 1), dtype=float)
+        tail += float(np.sum(gk_eval(k, j * s)))
     tail += 2.0 * math.exp(-ks * (m_stop + 1)) / -math.expm1(-ks)
 
     log_un = float(np.log(-np.expm1(-n * s)))

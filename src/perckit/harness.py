@@ -36,6 +36,7 @@ __all__ = [
     "trend_check_theorem1",
     "sweep_pak_bounds",
     "results_to_csv",
+    "results_text",
     "write_results",
     "default_trend_window",
 ]
@@ -240,24 +241,27 @@ def results_to_csv(results: Sequence[MCResult]) -> str:
     return buf.getvalue()
 
 
+def results_text(results: Sequence[MCResult], fmt: str = "csv") -> str:
+    """The rows as `fmt` ('csv' or 'json') text, stdout and file alike."""
+    if fmt == "csv":
+        return results_to_csv(results)
+    if fmt == "json":
+        rows = []
+        for r in results:
+            d = asdict(r)
+            d.pop("wall_time")
+            d["estimate"] = r.estimate
+            d["stderr"] = r.stderr
+            rows.append(d)
+        return json.dumps(rows, indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def write_results(results: Sequence[MCResult], path: str, fmt: str = "csv") -> None:
+    text = results_text(results, fmt)
     try:
-        if fmt == "csv":
-            with open(path, "w") as fh:
-                fh.write(results_to_csv(results))
-        elif fmt == "json":
-            rows = []
-            for r in results:
-                d = asdict(r)
-                d.pop("wall_time")
-                d["estimate"] = r.estimate
-                d["stderr"] = r.stderr
-                rows.append(d)
-            with open(path, "w") as fh:
-                json.dump(rows, fh, indent=2)
-                fh.write("\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 

@@ -11,6 +11,9 @@ worker count.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -34,5 +37,25 @@ def derive_seed(master: int, index: int) -> int:
 
 
 def trial_generator(point_seed: int, trial: int) -> np.random.Generator:
-    """An independent counter-based stream for one trial of one point."""
-    return np.random.Generator(np.random.Philox(key=point_seed, counter=[0, 0, trial, 0]))
+    """An independent counter-based stream for one trial of one point.
+
+    The stream of `Philox(key=point_seed, counter=[0, 0, trial, 0])`; trial
+    0 is the stream of `Philox(key=point_seed)`.  One generator serves every
+    call: its state is set to that key and counter with an empty buffer,
+    which skips the entropy that a new `Philox` draws for a `SeedSequence`
+    it never uses.  So the result is shared: the next call resets it.
+    """
+    key = operator.index(point_seed)
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"seed {key} must lie in [0, 2**128)")
+    generator, state = _shared()
+    state["state"]["key"][:] = key & _MASK, key >> 64
+    state["state"]["counter"][2] = trial
+    generator.bit_generator.state = state
+    return generator
+
+
+@functools.lru_cache(maxsize=None)
+def _shared():
+    generator = np.random.Generator(np.random.Philox(key=0))
+    return generator, generator.bit_generator.state  # counter 0, buffer empty

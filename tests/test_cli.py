@@ -265,6 +265,19 @@ class TestSimulationCommands:
         code, out, _ = run_cli(capsys, "scan", "--config", str(cfg))
         assert outpath.read_text().strip().splitlines()[1:] == lines[1:]
 
+    def test_scan_json_stdout_matches_output_file(self, capsys, tmp_path):
+        argv = ["scan", "--model", "local", "--k", "2", "3", "--q", "0.6", "0.8", "--L", "6",
+                "--trials", "20", "--seed", "6", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out)
+        assert [(r["k"], r["q"]) for r in rows] == [(2, 0.6), (2, 0.8), (3, 0.6), (3, 0.8)]
+        path = tmp_path / "rows.json"
+        code, msg, _ = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 0 and msg == f"wrote 4 rows to {path}\n"
+        assert path.read_text() == out
+        assert json.loads(path.read_text()) == rows
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--seed", "1", "--trials", "5"],  # neither --q nor --s
         ["scan", "--q", "0.5", "--L", "0", "--seed", "1"],

@@ -7,11 +7,14 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perckit.gap_process import (
     GapProcess,
+    _block_length,
+    _blocked_rounding_bound,
+    _log_rho_blocked,
     MonotonicityError,
     lower_bound_conjecture_gap,
     prob_ak,
@@ -238,6 +241,45 @@ class TestRhoExact:
         assert trace.final == pytest.approx(rho_bruteforce(k, u), abs=1e-12)
 
 
+class TestBlockedKernel:
+    @pytest.mark.parametrize("k,s,n", [(1, 1e-3, 30_000), (2, 0.01, 3000), (3, 0.003, 8000)])
+    def test_rounding_bound_holds(self, k, s, n):
+        got = _log_rho_blocked(k, s, n)
+        exact = _log_rho_mp(k, s, n)
+        bound = _blocked_rounding_bound(k, s, n)
+        assert abs(mp.mpf(got) - exact) <= bound
+        assert bound < 1e-9
+
+    def test_block_length(self):
+        assert [_block_length(n) for n in (0, 1, 5, 256, 400, 4999)] == [16, 16, 16, 16, 20, 71]
+
+    @given(st.integers(1, 4), st.floats(1e-3, 2.0), st.integers(0, 5000))
+    @example(2, 0.3, 5)  # one block, padded: N < B = 16
+    @example(3, 0.01, 400)  # 20 full blocks of 20 steps
+    @example(4, 0.002, 4999)  # 71 blocks of 71 steps, the last of 29
+    @example(1, 0.5, 1)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_rho_exact(self, k, s, n):
+        want = rho_exact(GapProcess.parametric(k, s), n).log_final
+        got = _log_rho_blocked(k, s, n)
+        if got is None:  # given up on a subnormal; not while every e^{-is} >= e^{-100}
+            assert n * s > 100
+            return
+        # both rounding bounds, plus prob_ak's allowance for each final log
+        tol = (_blocked_rounding_bound(k, s, n) + rho_rounding_bound(k, s, n)
+               + 2 * (8.0 * math.ulp(abs(want)) + 2.0**-50))
+        assert abs(got - want) <= tol
+
+    def test_gives_up_on_underflow(self):
+        # e^{-2i} is below the smallest normal double from i = 355 on: a libm table
+        assert _log_rho_blocked(1, 2.0, 1000) is None
+        # e^{-50 i} is 0 from i = 15 on, and every product stays normal or 0
+        assert _log_rho_blocked(2, 50.0, 20) is None
+        # normal tables, but v_i v_{i-1} v_{i-2} times an entry underflows in numpy
+        assert _log_rho_blocked(4, 0.5, 600) is None
+        assert np.geterr()["under"] == "ignore"  # the caller's error state is back
+
+
 class TestSandwich:
     def test_point_example(self):
         process = GapProcess.explicit(2, [0.5] * 3)
@@ -370,6 +412,16 @@ class TestProbAk:
     @pytest.mark.parametrize("k,s", [(1, 0.01), (2, 0.005), (3, 1e-3)])
     def test_rounding_goes_outward(self, k, s):
         res = prob_ak(k, s, 1e-8)
+        log_rho = _log_rho_blocked(k, s, res.n_terms)
+        rounding = _blocked_rounding_bound(k, s, res.n_terms)
+        assert res.log_upper - log_rho >= rounding
+        assert log_rho - res.log_lower >= rounding
+
+    def test_falls_back_to_rho_exact_on_underflow(self):
+        # runs of 29 failures late in the sequence underflow in the kernel
+        k, s = 30, 0.1
+        res = prob_ak(k, s, 1e-8)
+        assert _log_rho_blocked(k, s, res.n_terms) is None
         log_rho = rho_exact(GapProcess.parametric(k, s), res.n_terms).log_final
         rounding = rho_rounding_bound(k, s, res.n_terms)
         assert res.log_upper - log_rho >= rounding

@@ -53,6 +53,19 @@ class TestRng:
         jumped = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
         assert np.array_equal(trial_generator(seed, trial).random(64), jumped.random(64))
 
+    def test_trial_generator_starts_every_trial_afresh(self):
+        # one generator serves every call: a half-used buffer must not leak
+        # into the next trial, whichever key came in between
+        for seed, trial in [(5, 0), (5, 1), (9, 1), (5, 1), (2**64 - 1, 3)]:
+            used = trial_generator(seed, trial)
+            used.integers(7)  # leaves half a 64-bit word buffered
+            used.random()
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, trial, 0]))
+            got = trial_generator(seed, trial)
+            assert got.integers(1000) == fresh.integers(1000)
+            assert np.array_equal(got.random(5), fresh.random(5))
+        assert trial_generator(11, 0).random() == np.random.Generator(np.random.Philox(key=11)).random()
+
 
 class TestConfig:
     def test_validation(self):
