@@ -16,7 +16,6 @@ import numpy as np
 
 from . import growth_events, harness, lattice, qseries
 from .gap_process import GapProcess, prob_ak, rho_exact
-from .rng import trial_generator
 from .special_fn import fk_eval, gk_eval, hk_eval, hk_tilde_eval, lambda_k
 
 
@@ -54,7 +53,7 @@ def _cmd_lambda(args):
 
 
 def _cmd_hk_scan(args):
-    rng = trial_generator(args.seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=args.seed))
     width = 2 * args.k - 1 if args.tilde else args.k
     fn = hk_tilde_eval if args.tilde else hk_eval
     tuples = np.sort(rng.uniform(0.0, 1.0, (args.samples, width)), axis=1)

@@ -31,8 +31,9 @@ N ~ 20/s to 30/s terms, so `prob_ak` runs the same state form as products
 of k x k step matrices: blocks of about sqrt(N) steps built at once in
 numpy, then folded into the state (`_log_rho_blocked`, with its own
 rounding bound).  `rho_exact` stays the engine for explicit sequences and
-for whole traces, and the fallback wherever the block products would meet
-a subnormal number.
+for whole traces; `prob_ak` runs it too below 1024 terms, where it is
+faster, where only its smaller rounding bound meets the tolerance, and
+wherever the block products would meet a subnormal number.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ _LN2 = math.log(2.0)
 _TINY = 2.0**-1022
 # `_log_rho_blocked` never cuts its blocks shorter than this.
 _MIN_BLOCK = 16
+# `prob_ak` runs `rho_exact` below this many terms, where it is faster.
+_BLOCKED_FROM = 1024
 # `prob_ak` sums its tail this many points per gk_eval call.
 _TAIL_CHUNK = 16384
 
@@ -512,8 +515,7 @@ def _blocked_rounding_bound(k: int, s: float, n: int) -> float:
 def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) -> PakResult:
     """Bracket P(A_k) for the parametric family to relative width <= tol.
 
-    Runs the exact recurrence to N (`_log_rho_blocked`, or `rho_exact` where
-    that gives up on underflow) and closes the tail with
+    Runs the exact recurrence to N and closes the tail with
 
         rho_N * u_N * exp(-sum_{j>N} g_k(js))  <=  P(A_k)  <=  rho_N.
 
@@ -525,17 +527,21 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     u_N correction each stay under tol/4, using g_k(z) <= 2 e^{-kz} for
     z >= 1 (verified numerically per k).
 
-    Float rounding goes outward on both ends: R for the recurrence (the
-    larger of `_blocked_rounding_bound` and `rho_rounding_bound`, so it
-    holds for either engine), plus 8 ulps of |log rho_N| and 2^-50 for the final
-    log(mantissa) + e ln 2 (a log of a number in [1/2, 1), fl(ln 2) times
-    e, their product and sum) and the float sums that form the two ends;
-    the tail sum and log u_N are below tol/4 in size, so their own rounding
-    is far inside the 2^-50.
-    If R alone exceeds tol/4 the bracket cannot meet the tolerance and a
-    ValueError says so, as it does when N exceeds max_terms; so does a
-    half-width that the outward rounding pushes past tol/2 (possible only
-    with R near tol/4).  The reported midpoint and half-width contain the
+    The recurrence runs on block products (`_log_rho_blocked`) from
+    _BLOCKED_FROM terms on, when their rounding bound R =
+    `_blocked_rounding_bound` is at most tol/4.  Otherwise, and wherever the
+    block products give up on underflow, it runs on `rho_exact`, with R =
+    `rho_rounding_bound`, which is the smaller of the two bounds.
+    Float rounding goes outward on both ends: R of the engine that ran,
+    plus 8 ulps of |log rho_N| and 2^-50 for the final log(mantissa) +
+    e ln 2 (a log of a number in [1/2, 1), fl(ln 2) times e, their product
+    and sum) and the float sums that form the two ends; the tail sum and
+    log u_N are below tol/4 in size, so their own rounding is far inside
+    the 2^-50.
+    If `rho_exact`'s R exceeds tol/4 where it has to run, the bracket cannot
+    meet the tolerance and a ValueError says so, as it does when N exceeds
+    max_terms; so does a half-width that the outward rounding pushes past
+    tol/2 (possible only with R near tol/4).  The reported midpoint and half-width contain the
     bracket exactly.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
@@ -554,16 +560,17 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     n = int(math.ceil(max(n_tail, n_un, 1.0 / s, k + 1)))
     if n > max_terms:
         raise ValueError(f"tol {tol} at s={s} needs N={n} > budget {max_terms}")
-    # whichever engine computes rho_N below, its rounding is within this
-    rounding = max(_blocked_rounding_bound(k, s, n), rho_rounding_bound(k, s, n))
-    if rounding > tol / 4:
-        raise ValueError(
-            f"tol {tol} at s={s}: the rounding bound {rounding:.3g} of the recurrence "
-            f"to N={n} exceeds tol/4"
-        )
-
-    log_rho_n = _log_rho_blocked(k, s, n)
-    if log_rho_n is None:  # a subnormal intermediate: the scalar recurrence
+    log_rho_n = None
+    rounding = _blocked_rounding_bound(k, s, n)
+    if n >= _BLOCKED_FROM and rounding <= tol / 4:
+        log_rho_n = _log_rho_blocked(k, s, n)
+    if log_rho_n is None:  # short, too wide a block bound, or a subnormal
+        rounding = rho_rounding_bound(k, s, n)
+        if rounding > tol / 4:
+            raise ValueError(
+                f"tol {tol} at s={s}: the rounding bound {rounding:.3g} of the recurrence "
+                f"to N={n} exceeds tol/4"
+            )
         log_rho_n = rho_exact(GapProcess.parametric(k, s), n).log_final
 
     # tail sum, overestimated (only lowers the lower bracket): numeric part

@@ -47,7 +47,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from .gap_process import GapProcess, rho_exact
-from .rng import trial_generator
 from .special_fn import fk_eval
 from .lattice import (
     CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, reference_fixpoint,
@@ -440,7 +439,7 @@ def sample_conditioned(
     if background not in ("sample", "empty"):
         raise ValueError("background must be 'sample' or 'empty'")
     L = chain.L
-    rng = trial_generator(seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     if background == "sample":
         grid = np.where(
             rng.random((L, L)) < 1.0 - q, np.uint8(CellState.OCCUPIED), np.uint8(CellState.EMPTY)
@@ -585,7 +584,7 @@ def _place_family(grid: np.ndarray, labels, cells_of, u, k: int, rng):
 
 def _stair_trial(geom: StairGeometry, q: float, seed: int) -> Lattice:
     """An adversarial D_k(a, b) trial: sparse lines on an empty window, R(a, a) Active."""
-    rng = trial_generator(seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     w = geom.b + 1
     grid = np.zeros((w, w), dtype=np.uint8)
     _place_family(grid, geom.labels, geom.column_cells, geom.u_values(q), geom.k, rng)
@@ -596,7 +595,7 @@ def _stair_trial(geom: StairGeometry, q: float, seed: int) -> Lattice:
 
 def _skew_trial(geom: SkewGeometry, q: float, dev: int, seed: int) -> Lattice:
     """An adversarial J_k(a, b) trial with R(a - dev, a - dev) Active."""
-    rng = trial_generator(seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     a, b = geom.a, geom.b
     grid = np.zeros((b + 1, b + 1), dtype=np.uint8)
     for label in (a + 1, b):

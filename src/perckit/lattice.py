@@ -52,8 +52,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .rng import trial_generator
-
 __all__ = [
     "CellState",
     "Variant",
@@ -174,7 +172,7 @@ def sample_initial(
         raise ValueError("dimensions must be >= 1")
     if localized and not spec.is_local:
         raise ValueError("localized sampling requires a local model variant")
-    rng = trial_generator(seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     nonempty = rng.random((height, width)) < (1.0 - spec.q)
     if origin is None:
         origin = (width // 2, height // 2) if localized else (0, 0)

@@ -40,10 +40,17 @@ def trial_generator(point_seed: int, trial: int) -> np.random.Generator:
     """An independent counter-based stream for one trial of one point.
 
     The stream of `Philox(key=point_seed, counter=[0, 0, trial, 0])`; trial
-    0 is the stream of `Philox(key=point_seed)`.  One generator serves every
-    call: its state is set to that key and counter with an empty buffer,
-    which skips the entropy that a new `Philox` draws for a `SeedSequence`
-    it never uses.  So the result is shared: the next call resets it.
+    0 is the stream of `Philox(key=point_seed)`.  A new `Philox` costs more
+    than the draws of a small trial (it gathers OS entropy for a
+    `SeedSequence` that a keyed Philox never uses), so one generator serves
+    every call: its state is set to that key and counter, with an empty
+    buffer.
+
+    The result is shared, not owned: the next call, from anywhere, resets
+    it, and a generator still held from an earlier call silently restarts
+    on the new stream.  Draw all of one trial before asking for the next,
+    with no call in between that may reach `trial_generator`.  A stream
+    that must outlive the next call needs a `Philox` of its own.
     """
     key = operator.index(point_seed)
     if not 0 <= key < 1 << 128:

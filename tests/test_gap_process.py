@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from perckit.gap_process import (
     GapProcess,
+    _BLOCKED_FROM,
     _block_length,
     _blocked_rounding_bound,
     _log_rho_blocked,
@@ -412,18 +413,26 @@ class TestProbAk:
     @pytest.mark.parametrize("k,s", [(1, 0.01), (2, 0.005), (3, 1e-3)])
     def test_rounding_goes_outward(self, k, s):
         res = prob_ak(k, s, 1e-8)
+        assert res.n_terms >= _BLOCKED_FROM
         log_rho = _log_rho_blocked(k, s, res.n_terms)
         rounding = _blocked_rounding_bound(k, s, res.n_terms)
         assert res.log_upper - log_rho >= rounding
         assert log_rho - res.log_lower >= rounding
 
-    def test_falls_back_to_rho_exact_on_underflow(self):
-        # runs of 29 failures late in the sequence underflow in the kernel
-        k, s = 30, 0.1
-        res = prob_ak(k, s, 1e-8)
-        assert _log_rho_blocked(k, s, res.n_terms) is None
-        log_rho = rho_exact(GapProcess.parametric(k, s), res.n_terms).log_final
-        rounding = rho_rounding_bound(k, s, res.n_terms)
+    @pytest.mark.parametrize("k,s,tol", [
+        (30, 0.01, 1e-8),  # runs of 29 failures late in the sequence underflow in the kernel
+        (2, 0.5, 1e-8),  # N = 40: too short for the kernel
+        (1, 0.01, 10**-10.5),  # the kernel's bound 9.1e-12 is above tol/4, rho_exact's 7.4e-12 not
+        (1, 3e-5, 1e-8),  # the same at N = 1030482: 3.0e-9 against 2.5e-9
+    ])
+    def test_runs_rho_exact_where_the_kernel_does_not(self, k, s, tol):
+        res = prob_ak(k, s, tol)
+        n = res.n_terms
+        assert (n < _BLOCKED_FROM or _blocked_rounding_bound(k, s, n) > tol / 4
+                or _log_rho_blocked(k, s, n) is None)
+        assert res.error_bound <= tol / 2
+        log_rho = rho_exact(GapProcess.parametric(k, s), n).log_final
+        rounding = rho_rounding_bound(k, s, n)
         assert res.log_upper - log_rho >= rounding
         assert log_rho - res.log_lower >= rounding
 
