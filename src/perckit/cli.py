@@ -53,11 +53,19 @@ def _cmd_lambda(args):
 
 
 def _cmd_hk_scan(args):
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    width = 2 * args.k - 1 if args.tilde else args.k
-    fn = hk_tilde_eval if args.tilde else hk_eval
-    tuples = np.sort(rng.uniform(0.0, 1.0, (args.samples, width)), axis=1)
-    for value in np.atleast_1d(fn(args.k, tuples)):
+    try:
+        if args.k < 1:
+            raise ValueError("k must be a positive integer")
+        if args.samples < 0:
+            raise ValueError("samples must be nonnegative")
+        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        width = 2 * args.k - 1 if args.tilde else args.k
+        fn = hk_tilde_eval if args.tilde else hk_eval
+        tuples = np.sort(rng.uniform(0.0, 1.0, (args.samples, width)), axis=1)
+        values = np.atleast_1d(fn(args.k, tuples))
+    except ValueError as exc:  # bad --k/--samples/--seed
+        return _usage_error(exc)
+    for value in values:
         print(_fmt(float(value)))
 
 
@@ -123,17 +131,9 @@ def _cmd_chi_identity(args):
     print(f"mock theta identity holds through q^{args.N}")
 
 
-_VARIANTS = {
-    "global": lattice.Variant.GLOBAL_K,
-    "local": lattice.Variant.LOCAL_K,
-    "modified": lattice.Variant.LOCAL_MODIFIED,
-    "frobose": lattice.Variant.LOCAL_FROBOSE,
-}
-
-
 def _cmd_simulate(args):
     try:
-        spec = lattice.ModelSpec(variant=_VARIANTS[args.model], k=args.k, q=args.q)
+        spec = lattice.ModelSpec(variant=lattice.Variant(args.model), k=args.k, q=args.q)
         localized = spec.is_local and not args.global_init
         lat = lattice.sample_initial(spec, args.L, args.L, args.seed, localized=localized)
     except ValueError as exc:  # bad --k/--q/--L
@@ -260,6 +260,8 @@ def _cmd_sweep_pak(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="perckit", description=__doc__)
+    models = [v.value for v in lattice.Variant]
+    local_models = [m for m in models if m != lattice.Variant.GLOBAL_K.value]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fk", help="evaluate f_k(x)")
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_chi_identity)
 
     p = sub.add_parser("simulate", help="run one automaton to its fixpoint")
-    p.add_argument("--model", choices=sorted(_VARIANTS), required=True)
+    p.add_argument("--model", choices=sorted(models), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--L", type=int, required=True)
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="threshold scan over a (k, q|s, L) grid")
     p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--model", choices=list(harness.LOCAL_VARIANTS), default="local")
+    p.add_argument("--model", choices=local_models, default="local")
     p.add_argument("--k", type=int, nargs="+", default=[2])
     p.add_argument("--q", type=float, nargs="*", default=None)
     p.add_argument("--s", type=float, nargs="*", default=None)
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, nargs="+", required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--model", choices=list(harness.LOCAL_VARIANTS), default=None)
+    p.add_argument("--model", choices=local_models, default=None)
     p.set_defaults(fn=_cmd_trend)
 
     p = sub.add_parser("sweep-pak", help="P(A_k) against the theorem bounds")

@@ -8,22 +8,29 @@ label i occupies (0, i-1) .. (w-1, i-1).  A paper cell (u, v) is lattice
 (u-1, v-1), and R(a, b) is the cell block {0..a-1} x {0..b-1} anchored at
 the origin.
 
-Stair-step events D_k(a, b), b > a >= k: the columns at labels a+1..b
-(heights label-k) and the rows at labels a+1..b (widths label-k) each form
-an independent family, and the event asks that neither family has k
-consecutive empty lines.  Column cells and row cells never intersect
-(y <= x-k-1 and x <= y-k-1 cannot hold at once), so the event probability
-is an exact product of two no-k-gap recurrences with u_i = 1 - q^{i-k}.
+Each event is a list of `Condition`s on pairwise disjoint cells (asserted
+when the geometry is built), so its probability is the product of theirs.
+A condition applies one rule to a tuple of lines: every line nonempty,
+every line empty, or no k consecutive empty lines in the family ("no
+k-gap").  A line of n cells is nonempty with probability u = 1 - q^n, and
+a family's no-k-gap probability is the recurrence rho of `gap_process`,
+bounded below by the product of f_k(1 - u) over its lines.  The same list
+drives the exact probabilities, the paper's lower bounds, the validator,
+the conditioned sampler and the adversarial growth trials.
+
+Stair-step events D_k(a, b), b > a >= k: two no-k-gap families, the
+columns and the rows at labels a+1..b, of length label-k.  Column cells
+and row cells never intersect (y <= x-k-1 and x <= y-k-1 cannot hold at
+once).
 
 Skew events J_k(a, b), b - a >= k+2: columns at labels a+1..a+k keep the
 stair heights, those at a+k+1..b are capped at height a+1; row label a+1
-has width a-k+1, rows a+2..a+k+1 have width b-1 and must be entirely
-empty, rows a+k+2..b have width b.  The event requires R_{a+1}, C_{a+1},
-R_b, C_b nonempty, the k middle rows empty, the single cell at paper
-coordinates (b, a+k+1) occupied, and the two remaining line families
-{C_{a+2}..C_{b-1}}, {R_{a+k+2}..R_{b-1}} free of k-gaps.  All factors sit
-on pairwise disjoint cell sets (asserted at construction), so the exact
-probability is again a product.
+has width a-k+1, rows a+2..a+k+1 have width b-1, rows a+k+2..b have width
+b.  The conditions, in product order: C_{a+1}, R_{a+1}, C_b, R_b nonempty,
+the k middle rows empty, the single turn cell at paper coordinates
+(b, a+k+1) occupied, and the two families {C_{a+2}..C_{b-1}},
+{R_{a+k+2}..R_{b-1}} free of k-gaps (the row family is absent when
+b - a = k+2).
 
 The composite event E_k(a_1, b_1, ..., a_m, b_m) on an L x L window chains
 D_k(k, a_1), J_k(a_i, b_i), D_k(b_i, a_{i+1}), D_k(b_m, L-1), the occupied
@@ -42,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Container, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,6 +61,7 @@ from .lattice import (
 )
 
 __all__ = [
+    "Condition",
     "StairGeometry",
     "SkewGeometry",
     "EventChain",
@@ -69,6 +77,41 @@ __all__ = [
 
 Cell = Tuple[int, int]
 
+NONEMPTY, EMPTY, NO_GAP = "nonempty", "empty", "no k-gap"
+# plain ints: numpy stores them into a grid cell faster than IntEnum members
+_EMPTY, _OCCUPIED = int(CellState.EMPTY), int(CellState.OCCUPIED)
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One independent factor of a growth event: `rule` applied to `lines`.
+
+    `rule` is NONEMPTY or EMPTY (every line) or NO_GAP (the family has no
+    k consecutive empty lines, in label order).  `kind` is "column", "row"
+    or "cell" (the J_k turn cell, labelled by its column), and `lines[i]`
+    holds the cells of the line at `labels[i]`.
+    """
+
+    rule: str
+    kind: str
+    labels: Tuple[int, ...]
+    lines: Tuple[Tuple[Cell, ...], ...]
+
+    @classmethod
+    def of(cls, rule: str, kind: str, labels: Iterable[int], cells_of) -> "Condition":
+        labels = tuple(labels)
+        return cls(rule, kind, labels, tuple(tuple(cells_of(l)) for l in labels))
+
+    def u(self, q: float) -> np.ndarray:
+        """Per-line nonemptiness probabilities 1 - q^{line size}."""
+        return 1.0 - np.power(q, np.array([len(line) for line in self.lines], dtype=float))
+
+    def statuses(self, q: float, k: int, forced: Set[int], rng) -> List[bool]:
+        """Each line's nonemptiness: set by the rule, or drawn gap-free for NO_GAP."""
+        if self.rule == NO_GAP:
+            return _sample_gap_pattern(list(self.u(q)), k, forced, rng)
+        return [self.rule == NONEMPTY] * len(self.lines)
+
 
 def _col_cells(label: int, height: int) -> List[Cell]:
     return [(label - 1, y) for y in range(height)]
@@ -76,6 +119,20 @@ def _col_cells(label: int, height: int) -> List[Cell]:
 
 def _row_cells(label: int, width: int) -> List[Cell]:
     return [(x, label - 1) for x in range(width)]
+
+
+def _assert_disjoint(conditions: Sequence[Condition], event: str) -> None:
+    """Every line of every condition on its own cells: the product rule's premise."""
+    seen: Set[Cell] = set()
+    for cond in conditions:
+        for line in cond.lines:
+            overlap = seen.intersection(line)
+            if overlap:
+                raise AssertionError(
+                    f"{event} condition cells overlap at {sorted(overlap)[:4]}; "
+                    "the frozen geometry no longer matches the independence argument"
+                )
+            seen.update(line)
 
 
 @dataclass(frozen=True)
@@ -93,6 +150,7 @@ class StairGeometry:
             raise ValueError(f"need a >= k, got a={self.a} < k={self.k}")
         if self.b <= self.a:
             raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
+        _assert_disjoint(self.conditions, "D_k")
 
     @property
     def labels(self) -> range:
@@ -109,10 +167,12 @@ class StairGeometry:
     def row_cells(self, label: int) -> List[Cell]:
         return _row_cells(label, self.line_size(label))
 
-    def u_values(self, q: float) -> np.ndarray:
-        """Per-line nonemptiness probabilities 1 - q^{label-k}."""
-        sizes = np.array([self.line_size(l) for l in self.labels], dtype=float)
-        return 1.0 - np.power(q, sizes)
+    @functools.cached_property
+    def conditions(self) -> Tuple[Condition, ...]:
+        return (
+            Condition.of(NO_GAP, "column", self.labels, self.column_cells),
+            Condition.of(NO_GAP, "row", self.labels, self.row_cells),
+        )
 
 
 @dataclass(frozen=True)
@@ -130,7 +190,7 @@ class SkewGeometry:
             raise ValueError(f"need a >= k, got a={self.a} < k={self.k}")
         if self.b - self.a < self.k + 2:
             raise ValueError(f"need b - a >= k + 2, got {self.b - self.a}")
-        self._assert_disjoint()
+        _assert_disjoint(self.conditions, "J_k")
 
     # line extents -----------------------------------------------------
     def col_height(self, label: int) -> int:
@@ -162,15 +222,6 @@ class SkewGeometry:
         """Paper cell (b, a+k+1) -> lattice (b-1, a+k)."""
         return (self.b - 1, self.a + self.k)
 
-    # factor structure --------------------------------------------------
-    @property
-    def nonempty_columns(self) -> Tuple[int, int]:
-        return (self.a + 1, self.b)
-
-    @property
-    def nonempty_rows(self) -> Tuple[int, int]:
-        return (self.a + 1, self.b)
-
     @property
     def empty_rows(self) -> range:
         return range(self.a + 2, self.a + self.k + 2)
@@ -183,94 +234,67 @@ class SkewGeometry:
     def gap_family_rows(self) -> range:
         return range(self.a + self.k + 2, self.b)
 
-    def column_u_values(self, q: float) -> np.ndarray:
-        sizes = np.array([self.col_height(l) for l in self.gap_family_columns], dtype=float)
-        return 1.0 - np.power(q, sizes)
+    @functools.cached_property
+    def conditions(self) -> Tuple[Condition, ...]:
+        conds = [
+            Condition.of(NONEMPTY, kind, (label,), cells_of)
+            for label in (self.a + 1, self.b)
+            for kind, cells_of in (("column", self.column_cells), ("row", self.row_cells))
+        ]
+        conds.append(Condition.of(EMPTY, "row", self.empty_rows, self.row_cells))
+        conds.append(Condition(NONEMPTY, "cell", (self.b,), ((self.occupied_cell,),)))
+        conds.append(Condition.of(NO_GAP, "column", self.gap_family_columns, self.column_cells))
+        if self.gap_family_rows:
+            conds.append(Condition.of(NO_GAP, "row", self.gap_family_rows, self.row_cells))
+        return tuple(conds)
 
-    def row_u_values(self, q: float) -> np.ndarray:
-        sizes = np.array([self.row_width(l) for l in self.gap_family_rows], dtype=float)
-        return 1.0 - np.power(q, sizes)
 
-    def _factor_cell_sets(self) -> List[Set[Cell]]:
-        sets: List[Set[Cell]] = []
-        sets.append(set(self.column_cells(self.a + 1)))
-        sets.append(set(self.row_cells(self.a + 1)))
-        sets.append(set(self.column_cells(self.b)))
-        sets.append(set(self.row_cells(self.b)))
-        sets.append({c for l in self.empty_rows for c in self.row_cells(l)})
-        sets.append({self.occupied_cell})
-        sets.append({c for l in self.gap_family_columns for c in self.column_cells(l)})
-        sets.append({c for l in self.gap_family_rows for c in self.row_cells(l)})
-        return sets
+def _product(geometry, q: float, family: Callable[[int, np.ndarray], float]) -> float:
+    """The product over the conditions, `family(k, u)` giving each no-k-gap factor."""
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
+    p = 1.0
+    for cond in geometry.conditions:
+        if cond.rule == NONEMPTY:
+            for line in cond.lines:
+                p *= 1.0 - q ** len(line)
+        elif cond.rule == EMPTY:
+            p *= q ** sum(len(line) for line in cond.lines)
+        else:
+            p *= family(geometry.k, cond.u(q))
+    return p
 
-    def _assert_disjoint(self):
-        sets = self._factor_cell_sets()
-        seen: Set[Cell] = set()
-        for s in sets:
-            overlap = seen & s
-            if overlap:
-                raise AssertionError(
-                    f"J_k factor cell sets overlap at {sorted(overlap)[:4]}; "
-                    "the frozen geometry no longer matches the independence argument"
-                )
-            seen |= s
 
-    def all_cells(self) -> Set[Cell]:
-        out: Set[Cell] = set()
-        for s in self._factor_cell_sets():
-            out |= s
-        return out
+def _rho(k: int, u: np.ndarray) -> float:
+    return rho_exact(GapProcess.explicit(k, u), len(u)).final
+
+
+def _fk_product(k: int, u: np.ndarray) -> float:
+    return float(np.prod(np.asarray(fk_eval(k, 1.0 - u))))
 
 
 def prob_dk(geometry: StairGeometry, q: float) -> float:
     """Exact P(D_k(a, b)): the product of the two family no-k-gap probabilities."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    u = geometry.u_values(q)
-    rho = rho_exact(GapProcess.explicit(geometry.k, u), len(u)).final
-    return rho * rho
+    return _product(geometry, q, _rho)
 
 
 def dk_paper_lower_bound(geometry: StairGeometry, q: float) -> float:
     """exp(-2 sum_{i=a-(k-1)}^{b-k} g_k(i s)) with q = e^{-s}.
 
-    Written via f_k directly: the bound equals prod f_k(q^{i-k})^2 over the
-    label range, which avoids the log/exp round trip.
+    Computed as the product of f_k(q^{i-k}) over each of the two families,
+    which avoids the log/exp round trip.
     """
-    u = geometry.u_values(q)
-    f = np.asarray(fk_eval(geometry.k, 1.0 - u))
-    return float(np.exp(2.0 * np.sum(np.log(f))))
+    return _product(geometry, q, _fk_product)
 
 
 def prob_jk(geometry: SkewGeometry, q: float) -> float:
     """Exact P(J_k(a, b)) as a product over the disjoint factors."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    k, a, b = geometry.k, geometry.a, geometry.b
-    p = (1.0 - q ** (a - k + 1)) ** 2          # R_{a+1} and C_{a+1} nonempty
-    p *= 1.0 - q ** (a + 1)                    # C_b nonempty
-    p *= 1.0 - q**b                            # R_b nonempty
-    p *= q ** (k * (b - 1))                    # rows a+2..a+k+1 empty
-    p *= 1.0 - q                               # the occupied turn cell
-    u_cols = geometry.column_u_values(q)
-    p *= rho_exact(GapProcess.explicit(k, u_cols), len(u_cols)).final
-    u_rows = geometry.row_u_values(q)
-    if len(u_rows):
-        p *= rho_exact(GapProcess.explicit(k, u_rows), len(u_rows)).final
-    return p
+    return _product(geometry, q, _rho)
 
 
 def jk_paper_lower_bound(geometry: SkewGeometry, q: float) -> float:
     """The first displayed product bound in the P(J_k) estimate."""
-    k, a, b = geometry.k, geometry.a, geometry.b
-    p = q ** (k * (b - 1)) * (1.0 - q)
-    p *= (1.0 - q ** (a - k + 1)) ** 2 * (1.0 - q ** (a + 1)) * (1.0 - q**b)
-    u_cols = geometry.column_u_values(q)
-    p *= float(np.prod(np.asarray(fk_eval(k, 1.0 - u_cols))))
-    u_rows = geometry.row_u_values(q)
-    if len(u_rows):
-        p *= float(np.prod(np.asarray(fk_eval(k, 1.0 - u_rows))))
-    return p
+    return _product(geometry, q, _fk_product)
 
 
 # --- composite growth events ------------------------------------------------
@@ -303,18 +327,12 @@ class EventChain:
             prev = b
         if prev > L:
             raise ValueError(f"b_m = {prev} exceeds the window L = {L}")
-        self.components()  # constructing the geometries validates them
-        taken: Dict[Cell, str] = {}
-        for cell, state, tag in self.fixed_cells():
-            if cell in taken:
-                raise ValueError(f"chain conditions conflict at cell {cell} ({taken[cell]} vs {tag})")
-            taken[cell] = tag
-        # a corner cell inside an emptiness region is a contradictory event
-        empty_cells = set()
-        for geom, kind in self.components():
-            if kind == "jk":
-                for l in geom.empty_rows:
-                    empty_cells.update(geom.row_cells(l))
+        # constructing the geometries validates them; a fixed cell inside an
+        # emptiness region is a contradictory event
+        empty_cells = {
+            c for geom, _ in self.components() for cond in geom.conditions
+            if cond.rule == EMPTY for line in cond.lines for c in line
+        }
         for cell, state, tag in self.fixed_cells():
             if cell in empty_cells:
                 raise ValueError(
@@ -326,11 +344,11 @@ class EventChain:
         """Paper cells (1, L-1) and (L-1, 1) -> lattice (0, L-2), (L-2, 0)."""
         return ((0, self.L - 2), (self.L - 2, 0))
 
-    def block_cells(self) -> List[Cell]:
-        return [(x, y) for x in range(self.k) for y in range(self.k)]
-
     def fixed_cells(self) -> Tuple[Tuple[Cell, int, str], ...]:
-        """Cells with a directly-forced state: the block, corners, and turn cells."""
+        """Cells with a directly-forced state: the k x k block and the two corners.
+
+        The J_k turn cells are conditions of their geometry, not fixed cells.
+        """
         return self._fixed_cells
 
     def components(self) -> Tuple[Tuple[object, str], ...]:
@@ -341,14 +359,11 @@ class EventChain:
     @functools.cached_property
     def _fixed_cells(self) -> Tuple[Tuple[Cell, int, str], ...]:
         out: List[Tuple[Cell, int, str]] = []
-        for cell in self.block_cells():
+        for cell in ((x, y) for x in range(self.k) for y in range(self.k)):
             state = CellState.ACTIVE if cell == (0, 0) else CellState.OCCUPIED
             out.append((cell, int(state), "block"))
         for cell in self.corner_cells:
             out.append((cell, int(CellState.OCCUPIED), "corner"))
-        for geom, kind in self.components():
-            if kind == "jk":
-                out.append((geom.occupied_cell, int(CellState.OCCUPIED), "turn"))
         return tuple(out)
 
     @functools.cached_property
@@ -400,24 +415,32 @@ def _sample_gap_pattern(u: Sequence[float], k: int, forced: Set[int], rng) -> Li
     return out
 
 
-def _sample_line(grid: np.ndarray, cells: List[Cell], status: bool, q: float, rng, skip: Set[Cell],
-                 already_nonempty: bool):
+def _sample_line(grid: np.ndarray, cells: Sequence[Cell], status: bool, q: float, rng,
+                 skip: Container[Cell], already_nonempty: bool) -> None:
+    """Fill the line's cells outside `skip` from their law given the line's status.
+
+    An empty line is cleared.  A nonempty line that a fixed occupied cell
+    already makes nonempty draws its free cells i.i.d.  Otherwise the first
+    occupied free cell j is drawn from the truncated geometric law
+    P(j) = q^j (1 - q) / (1 - q^n) by inversion, and the cells after it
+    i.i.d.: together, the i.i.d. law given at least one occupied cell.
+    """
     free = [c for c in cells if c not in skip]
+    if not free:
+        return
+    n = len(free)
     if not status:
-        for x, y in free:
-            grid[y, x] = CellState.EMPTY
-        return
-    if already_nonempty or not free:
-        for x, y in free:
-            grid[y, x] = CellState.OCCUPIED if rng.random() < 1.0 - q else CellState.EMPTY
-        return
-    for attempt in range(1_000_000):
-        draws = rng.random(len(free)) < 1.0 - q
-        if draws.any():
-            for (x, y), occ in zip(free, draws):
-                grid[y, x] = CellState.OCCUPIED if occ else CellState.EMPTY
-            return
-    raise RuntimeError("rejection sampling for a nonempty line did not terminate")
+        occupied = [False] * n
+    elif already_nonempty:
+        occupied = (rng.random(n) < 1.0 - q).tolist()
+    else:
+        log_q = math.log(q)
+        # j = floor(log(1 - U (1 - q^n)) / log q), and U < 1 keeps it below n
+        # up to rounding
+        j = min(int(math.log1p(rng.random() * math.expm1(n * log_q)) / log_q), n - 1)
+        occupied = [False] * j + [True] + (rng.random(n - j - 1) < 1.0 - q).tolist()
+    for (x, y), occ in zip(free, occupied):
+        grid[y, x] = _OCCUPIED if occ else _EMPTY
 
 
 def sample_conditioned(
@@ -425,14 +448,14 @@ def sample_conditioned(
 ) -> Lattice:
     """Draw a localized configuration from the conditional law given E_k.
 
-    Factor by factor (the factors live on disjoint cells): the no-k-gap
-    line families get their statuses from the exact conditioned pattern
-    recurrence, each nonempty line is then filled by per-line rejection;
-    required-empty lines are cleared; the block/corner/turn cells are set
-    outright.  `background` controls the unconstrained cells: "sample"
-    draws them i.i.d. occupied with probability 1-q (the conditional law),
-    "empty" leaves them all empty (the adversarial configuration used by
-    the growth-guarantee checks).
+    Condition by condition (they live on disjoint cells): a no-k-gap family
+    gets its line statuses from the exact conditioned pattern recurrence,
+    the other conditions fix every line's status, and each line is then
+    filled from its law given that status (`_sample_line`); the block and
+    corner cells are set outright.  `background` controls the unconstrained
+    cells: "sample" draws them i.i.d. occupied with probability 1-q (the
+    conditional law), "empty" leaves them all empty (the adversarial
+    configuration used by the growth-guarantee checks).
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
@@ -447,35 +470,13 @@ def sample_conditioned(
     else:
         grid = np.zeros((L, L), dtype=np.uint8)
 
-    fixed = {cell: state for cell, state, _ in chain.fixed_cells()}
-    fixed_occupied = {c for c, s, _ in chain.fixed_cells() if s != CellState.EMPTY}
-    skip = set(fixed)
-
-    def fill_family(labels, cells_of, u):
-        forced = {
-            i for i, l in enumerate(labels) if any(c in fixed_occupied for c in cells_of(l))
-        }
-        statuses = _sample_gap_pattern(list(u), chain.k, forced, rng)
-        for i, l in enumerate(labels):
-            _sample_line(
-                grid, cells_of(l), statuses[i], q, rng,
-                skip=skip, already_nonempty=i in forced,
-            )
-
-    for geom, kind in chain.components():
-        if kind == "dk":
-            fill_family(list(geom.labels), geom.column_cells, geom.u_values(q))
-            fill_family(list(geom.labels), geom.row_cells, geom.u_values(q))
-        else:
-            for cells_of in (geom.column_cells, geom.row_cells):
-                for label in (geom.a + 1, geom.b):
-                    cells = cells_of(label)
-                    already = any(c in fixed_occupied for c in cells)
-                    _sample_line(grid, cells, True, q, rng, skip, already)
-            for l in geom.empty_rows:
-                _sample_line(grid, geom.row_cells(l), False, q, rng, skip, False)
-            fill_family(list(geom.gap_family_columns), geom.column_cells, geom.column_u_values(q))
-            fill_family(list(geom.gap_family_rows), geom.row_cells, geom.row_u_values(q))
+    fixed = {cell: state for cell, state, _ in chain.fixed_cells()}  # none of them empty
+    for geom, _ in chain.components():
+        for cond in geom.conditions:
+            forced = {i for i, line in enumerate(cond.lines) if not fixed.keys().isdisjoint(line)}
+            statuses = cond.statuses(q, chain.k, forced, rng)
+            for i, (line, status) in enumerate(zip(cond.lines, statuses)):
+                _sample_line(grid, line, status, q, rng, fixed, i in forced)
 
     for (x, y), state in fixed.items():
         grid[y, x] = state
@@ -487,9 +488,6 @@ def validate_chain(lattice: Lattice, chain: EventChain) -> List[str]:
     grid = lattice.cells
     problems: List[str] = []
 
-    def nonempty(cells) -> bool:
-        return any(grid[y, x] != CellState.EMPTY for x, y in cells)
-
     for cell, state, tag in chain.fixed_cells():
         x, y = cell
         if tag == "block" and cell == (0, 0):
@@ -498,34 +496,22 @@ def validate_chain(lattice: Lattice, chain: EventChain) -> List[str]:
         elif grid[y, x] == CellState.EMPTY:
             problems.append(f"{tag} cell {cell} is empty")
 
-    def check_family(labels, cells_of, what):
-        run = 0
-        for l in labels:
-            run = 0 if nonempty(cells_of(l)) else run + 1
-            if run >= chain.k:
-                problems.append(f"{what} has a {chain.k}-gap ending at label {l}")
-                return
-
     for geom, kind in chain.components():
         tag = f"{kind}({geom.a},{geom.b})"
-        if kind == "dk":
-            check_family(geom.labels, geom.column_cells, f"{tag} columns")
-            check_family(geom.labels, geom.row_cells, f"{tag} rows")
-        else:
-            for l, cells_of in (
-                (geom.a + 1, geom.column_cells),
-                (geom.b, geom.column_cells),
-            ):
-                if not nonempty(cells_of(l)):
-                    problems.append(f"{tag} column {l} must be nonempty")
-            for l in (geom.a + 1, geom.b):
-                if not nonempty(geom.row_cells(l)):
-                    problems.append(f"{tag} row {l} must be nonempty")
-            for l in geom.empty_rows:
-                if nonempty(geom.row_cells(l)):
-                    problems.append(f"{tag} row {l} must be empty")
-            check_family(geom.gap_family_columns, geom.column_cells, f"{tag} gap columns")
-            check_family(geom.gap_family_rows, geom.row_cells, f"{tag} gap rows")
+        for cond in geom.conditions:
+            nonempty = [any(grid[y, x] != CellState.EMPTY for x, y in line) for line in cond.lines]
+            if cond.rule != NO_GAP:
+                problems.extend(
+                    f"{tag} {cond.kind} {label} must be {cond.rule}"
+                    for label, ok in zip(cond.labels, nonempty) if ok != (cond.rule == NONEMPTY)
+                )
+                continue
+            run = 0
+            for label, ok in zip(cond.labels, nonempty):
+                run = 0 if ok else run + 1
+                if run >= chain.k:
+                    problems.append(f"{tag} {cond.kind}s have a {chain.k}-gap ending at label {label}")
+                    break
     return problems
 
 
@@ -562,51 +548,24 @@ class GrowthReport:
         return "\n".join(lines)
 
 
-def _place_sparse(grid: np.ndarray, cells: List[Cell], rng):
-    """One occupied cell at a random position: the minimal nonempty line.
+def _adversarial_trial(geom, q: float, side: int, seed: int) -> Lattice:
+    """A trial of D_k(a, b) or J_k(a, b) on an empty window, with R(side, side) Active.
 
-    Any configuration satisfying the event dominates some such sparse
-    configuration cell by cell, and the rules are monotone, so growth of
-    every sparse sample implies growth of every satisfying configuration
-    with the same line statuses.
+    Every nonempty line gets one occupied cell at a random position, the
+    minimal nonempty line; a no-k-gap family first draws its gap-free line
+    statuses.  Any configuration satisfying the event dominates some such
+    sparse configuration cell by cell, and the rules are monotone, so
+    growth of every sparse sample implies growth of every satisfying
+    configuration with the same line statuses.
     """
-    x, y = cells[int(rng.integers(len(cells)))]
-    grid[y, x] = CellState.OCCUPIED
-
-
-def _place_family(grid: np.ndarray, labels, cells_of, u, k: int, rng):
-    """Gap-free statuses for a line family, then one sparse cell per nonempty line."""
-    statuses = _sample_gap_pattern(list(u), k, set(), rng)
-    for label, status in zip(labels, statuses):
-        if status:
-            _place_sparse(grid, cells_of(label), rng)
-
-
-def _stair_trial(geom: StairGeometry, q: float, seed: int) -> Lattice:
-    """An adversarial D_k(a, b) trial: sparse lines on an empty window, R(a, a) Active."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    w = geom.b + 1
-    grid = np.zeros((w, w), dtype=np.uint8)
-    _place_family(grid, geom.labels, geom.column_cells, geom.u_values(q), geom.k, rng)
-    _place_family(grid, geom.labels, geom.row_cells, geom.u_values(q), geom.k, rng)
-    grid[: geom.a, : geom.a] = CellState.ACTIVE
-    return Lattice(cells=grid, origin=(0, 0))
-
-
-def _skew_trial(geom: SkewGeometry, q: float, dev: int, seed: int) -> Lattice:
-    """An adversarial J_k(a, b) trial with R(a - dev, a - dev) Active."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    a, b = geom.a, geom.b
-    grid = np.zeros((b + 1, b + 1), dtype=np.uint8)
-    for label in (a + 1, b):
-        _place_sparse(grid, geom.column_cells(label), rng)
-        _place_sparse(grid, geom.row_cells(label), rng)
-    ox, oy = geom.occupied_cell
-    grid[oy, ox] = CellState.OCCUPIED
-    _place_family(grid, geom.gap_family_columns, geom.column_cells, geom.column_u_values(q),
-                  geom.k, rng)
-    _place_family(grid, geom.gap_family_rows, geom.row_cells, geom.row_u_values(q), geom.k, rng)
-    grid[: a - dev, : a - dev] = CellState.ACTIVE
+    grid = np.zeros((geom.b + 1, geom.b + 1), dtype=np.uint8)
+    for cond in geom.conditions:
+        for line, status in zip(cond.lines, cond.statuses(q, geom.k, set(), rng)):
+            if status:
+                x, y = line[int(rng.integers(len(line)))]
+                grid[y, x] = CellState.OCCUPIED
+    grid[:side, :side] = CellState.ACTIVE
     return Lattice(cells=grid, origin=(0, 0))
 
 
@@ -620,12 +579,13 @@ def _growth_cases(k: int, q: float) -> list:
     cases = []
     for a, b in ((base, base + 5), (base + 2, base + 9)):
         geom = StairGeometry(k, a, b)
-        cases.append(("dk", a, b, 1_000_003, functools.partial(_stair_trial, geom, q), b - k + 1))
+        build = functools.partial(_adversarial_trial, geom, q, a)
+        cases.append(("dk", a, b, 1_000_003, build, b - k + 1))
     # the last pair has b - a = k + 2, the smallest legal skew
     for a, b in ((2 * k + 2, 3 * k + 6), (2 * k + 4, 3 * k + 10), (2 * k + 2, 3 * k + 4)):
         geom = SkewGeometry(k, a, b)
         for dev in (0, k - 1):
-            build = functools.partial(_skew_trial, geom, q, dev)
+            build = functools.partial(_adversarial_trial, geom, q, a - dev)
             cases.append((f"jk[s={dev},t={dev}]", a, b, 7_000_003, build, b))
     L = 4 * k + 18
     for pairs in (((k + 2, 2 * k + 5),), ((k + 3, 2 * k + 6), (2 * k + 8, 3 * k + 11))):
@@ -691,9 +651,7 @@ def verify_growth_guarantee(
         raise ValueError("trials must be >= 1")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    variants = [variant] if variant is not None else (
-        [Variant.LOCAL_K] if k >= 2 else [Variant.LOCAL_MODIFIED, Variant.LOCAL_FROBOSE]
-    )
+    variants = [variant] if variant is not None else Variant.local_for(k)
     models = [ModelSpec(variant=var, k=k, q=q) for var in variants]
     by_case = []
     for kind, a, b, stride, build, side in _growth_cases(k, q):

@@ -43,13 +43,6 @@ __all__ = [
 
 CSV_HEADER = ["k", "model", "q", "s", "L", "trials", "successes", "estimate", "stderr", "seed"]
 
-LOCAL_VARIANTS = {
-    "local": Variant.LOCAL_K,
-    "modified": Variant.LOCAL_MODIFIED,
-    "frobose": Variant.LOCAL_FROBOSE,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition for a threshold scan."""
@@ -65,8 +58,9 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.model not in LOCAL_VARIANTS:
-            raise ValueError(f"model must be one of {sorted(LOCAL_VARIANTS)}")
+        variant = Variant(self.model)
+        if variant is Variant.GLOBAL_K:
+            raise ValueError("scans run the local models only")
         if (self.q_values is None) == (self.s_values is None):
             raise ValueError("exactly one of q_values or s_values is required")
         if not self.k_values or not self.L_values:
@@ -86,7 +80,7 @@ class ExperimentConfig:
         if min(self.L_values) < 1:
             raise ValueError("window sizes L must be >= 1")
         for k, q, _, _ in self.points():  # a bad k, q or s fails here, before any trial
-            ModelSpec(variant=_variant_for(self.model, k), k=k, q=q)
+            ModelSpec(variant=variant, k=k, q=q)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -148,15 +142,6 @@ class MCResult:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _variant_for(model: str, k: int) -> Variant:
-    if model not in LOCAL_VARIANTS:
-        raise ValueError(f"model must be one of {sorted(LOCAL_VARIANTS)}, not {model!r}")
-    v = LOCAL_VARIANTS[model]
-    if v is Variant.LOCAL_K and k == 1:
-        raise ValueError("the local k-model needs k >= 2; use modified/frobose for k = 1")
-    return v
-
-
 def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> int:
     """Count localized trials whose cluster crosses the quadrant window.
 
@@ -182,7 +167,7 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
 
 def _scan_point(args) -> MCResult:
     model, k, q, s, L, trials, point_seed = args
-    spec = ModelSpec(variant=_variant_for(model, k), k=k, q=q)
+    spec = ModelSpec(variant=Variant(model), k=k, q=q)
     t0 = time.perf_counter()
     successes = _boundary_trials(spec, L, trials, point_seed)
     return MCResult(
@@ -322,11 +307,12 @@ def trend_check_theorem1(
         raise ValueError("s_grid must be strictly decreasing with at least two points")
     if not all(0.0 < s < math.inf for s in s_values):
         raise ValueError("s values must be positive and finite")
-    if model is None:
-        model = "local" if k >= 2 else "modified"
+    variant = Variant.local_for(k)[0] if model is None else Variant(model)
+    if variant is Variant.GLOBAL_K:
+        raise ValueError("the trend check runs the local models only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    specs = [ModelSpec(variant=_variant_for(model, k), k=k, q=math.exp(-s)) for s in s_values]
+    specs = [ModelSpec(variant=variant, k=k, q=math.exp(-s)) for s in s_values]
     results = []
     for idx, (s, spec) in enumerate(zip(s_values, specs)):
         L = L_rule(s)
@@ -355,7 +341,7 @@ def trend_check_theorem1(
         ]
     return TrendReport(
         k=k,
-        model=model,
+        model=variant.value,
         s_values=s_values,
         L_values=[L for _, L, _, _ in results],
         trials=trials,

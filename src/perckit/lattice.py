@@ -90,6 +90,11 @@ class Variant(enum.Enum):
     LOCAL_MODIFIED = "modified"
     LOCAL_FROBOSE = "frobose"
 
+    @classmethod
+    def local_for(cls, k: int) -> Tuple["Variant", ...]:
+        """The local variants that accept threshold k, the default first."""
+        return (cls.LOCAL_K,) if k >= 2 else (cls.LOCAL_MODIFIED, cls.LOCAL_FROBOSE)
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -102,10 +107,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-        if self.variant in (Variant.LOCAL_MODIFIED, Variant.LOCAL_FROBOSE) and self.k != 1:
-            raise ValueError(f"{self.variant.value} model forces k = 1")
-        if self.variant is Variant.LOCAL_K and self.k < 2:
-            raise ValueError("the local k-model requires k > 1 (k = 1 is modified/Frobose)")
+        allowed = Variant.local_for(self.k)
+        if self.variant is not Variant.GLOBAL_K and self.variant not in allowed:
+            raise ValueError(
+                f"the {self.variant.value} model does not take k = {self.k}; "
+                f"the local models there are {[v.value for v in allowed]}"
+            )
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
 

@@ -65,6 +65,9 @@ class TestNumericCommands:
         ["gk", "--k", "0", "--z", "1"], ["fk", "--k", "0", "--x", "0.5"],
         ["fk", "--k", "2", "--x", "0.5", "1.5"], ["fk", "--k", "2", "--x", "0.5", "--tol", "0"],
         ["lambda", "--k", "0"], ["lambda", "--k", "1", "-3"],
+        ["hk-scan", "--k", "2", "--samples", "3", "--seed", "-1"],
+        ["hk-scan", "--k", "0", "--samples", "3", "--seed", "1"],
+        ["hk-scan", "--k", "2", "--samples", "-1", "--seed", "1"],
     ])
     def test_rejects_bad_input(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -199,6 +202,22 @@ class TestSimulationCommands:
         )
         assert code == 0
         assert json.loads(out)["total_violations"] == 0
+
+    @pytest.mark.parametrize("kind,k,a,b,q,printed", [
+        ("dk", 1, 3, 8, 0.3, "0.925176957767115"),
+        ("dk", 2, 4, 9, 0.5, "0.979908781343227"),
+        ("dk", 4, 6, 15, 0.95, "0.149768682766678"),
+        ("jk", 1, 2, 7, 0.8, "0.000190197626980215"),
+        ("jk", 2, 4, 9, 0.5, "5.63146259979774e-06"),
+        ("jk", 3, 5, 12, 0.61, "1.81469275888469e-08"),
+    ])
+    def test_events_prob_pinned_digits(self, capsys, kind, k, a, b, q, printed):
+        code, out, _ = run_cli(
+            capsys, "events", "prob", "--kind", kind, "--k", str(k), "--a", str(a),
+            "--b", str(b), "--q", str(q),
+        )
+        assert code == 0
+        assert out == printed + "\n"
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_events_verify_pinned_json(self, capsys, k):

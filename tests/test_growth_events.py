@@ -9,6 +9,9 @@ import pytest
 from perckit import growth_events
 from perckit.gap_process import GapProcess, rho_exact
 from perckit.growth_events import (
+    EMPTY,
+    NO_GAP,
+    NONEMPTY,
     CaseResult,
     EventChain,
     SkewGeometry,
@@ -22,6 +25,7 @@ from perckit.growth_events import (
     verify_growth_guarantee,
     _run_case,
     _sample_gap_pattern,
+    _sample_line,
 )
 from perckit.lattice import CellState, Lattice, ModelSpec, Variant, run_to_fixpoint, to_text
 
@@ -67,6 +71,33 @@ class TestGoldenGeometry:
         assert list(geom.gap_family_columns) == [6, 7, 8]
         assert list(geom.gap_family_rows) == [8]
 
+    def test_conditions_in_product_order(self):
+        geom = SkewGeometry(2, 4, 9)
+        assert [(c.rule, c.kind, c.labels) for c in geom.conditions] == [
+            (NONEMPTY, "column", (5,)), (NONEMPTY, "row", (5,)),
+            (NONEMPTY, "column", (9,)), (NONEMPTY, "row", (9,)),
+            (EMPTY, "row", (6, 7)), (NONEMPTY, "cell", (9,)),
+            (NO_GAP, "column", (6, 7, 8)), (NO_GAP, "row", (8,)),
+        ]
+        assert geom.conditions[5].lines == ((geom.occupied_cell,),)
+        assert geom.conditions[4].lines == (tuple(geom.row_cells(6)), tuple(geom.row_cells(7)))
+        # b - a = k + 2 leaves the row family empty, and it is left out
+        assert [c.rule for c in SkewGeometry(2, 4, 8).conditions][-2:] == [NONEMPTY, NO_GAP]
+        stair = StairGeometry(2, 4, 9)
+        assert [(c.rule, c.kind, c.labels) for c in stair.conditions] == [
+            (NO_GAP, "column", (5, 6, 7, 8, 9)), (NO_GAP, "row", (5, 6, 7, 8, 9)),
+        ]
+
+    def test_overlapping_factors_raise(self, monkeypatch):
+        # widening the empty rows by one cell runs the last one through the turn cell
+        real = SkewGeometry.row_width
+        monkeypatch.setattr(
+            SkewGeometry, "row_width",
+            lambda self, l: self.b if l in self.empty_rows else real(self, l),
+        )
+        with pytest.raises(AssertionError, match="overlap"):
+            SkewGeometry(2, 4, 9)
+
     def test_invalid_geometries(self):
         with pytest.raises(ValueError):
             StairGeometry(2, 1, 5)  # a < k
@@ -76,51 +107,47 @@ class TestGoldenGeometry:
             SkewGeometry(2, 4, 7)  # b - a < k + 2
 
 
+def _mc_nonempty(rng, q, trials, size):
+    """Per trial: does a line of `size` i.i.d. cells hold an occupied one?"""
+    return (rng.random((trials, size)) < 1 - q).any(axis=1)
+
+
+def _mc_no_gap(lines, k, trials):
+    """Per trial: no k consecutive empty lines, given each line's per-trial nonemptiness."""
+    run = np.zeros(trials, dtype=int)
+    ok = np.ones(trials, dtype=bool)
+    for nonempty in lines:
+        run = np.where(nonempty, 0, run + 1)
+        ok &= run < k
+    return ok
+
+
 def mc_prob_dk(geom, q, trials, seed):
     rng = np.random.default_rng(seed)
-    hits = 0
-    k = geom.k
     sizes = [geom.line_size(l) for l in geom.labels]
-    for _ in range(trials):
-        def family_ok():
-            run = 0
-            for h in sizes:
-                nonempty = bool((rng.random(h) < 1 - q).any())
-                run = 0 if nonempty else run + 1
-                if run >= k:
-                    return False
-            return True
-        hits += family_ok() and family_ok()
-    return hits / trials
+    hits = np.ones(trials, dtype=bool)
+    for _family in ("columns", "rows"):
+        hits &= _mc_no_gap([_mc_nonempty(rng, q, trials, h) for h in sizes], geom.k, trials)
+    return hits.mean()
 
 
 def mc_prob_jk(geom, q, trials, seed):
     rng = np.random.default_rng(seed)
-    k = geom.k
-    hits = 0
-    for _ in range(trials):
-        def nonempty(n):
-            return bool((rng.random(n) < 1 - q).any())
+    a, b = geom.a, geom.b
 
-        def no_gap(sizes):
-            run = 0
-            for h in sizes:
-                run = 0 if nonempty(h) else run + 1
-                if run >= k:
-                    return False
-            return True
+    def nonempty(size):
+        return _mc_nonempty(rng, q, trials, size)
 
-        ok = nonempty(geom.col_height(geom.a + 1))
-        ok &= nonempty(geom.row_width(geom.a + 1))
-        ok &= nonempty(geom.col_height(geom.b))
-        ok &= nonempty(geom.row_width(geom.b))
-        # k rows of width b-1 all empty
-        ok &= not (rng.random(k * (geom.b - 1)) < 1 - q).any()
-        ok &= rng.random() < 1 - q  # the turn cell
-        ok &= no_gap([geom.col_height(l) for l in geom.gap_family_columns])
-        ok &= no_gap([geom.row_width(l) for l in geom.gap_family_rows])
-        hits += ok
-    return hits / trials
+    ok = nonempty(geom.col_height(a + 1))
+    ok &= nonempty(geom.row_width(a + 1))
+    ok &= nonempty(geom.col_height(b))
+    ok &= nonempty(geom.row_width(b))
+    for l in geom.empty_rows:
+        ok &= ~nonempty(geom.row_width(l))
+    ok &= nonempty(1)  # the turn cell
+    ok &= _mc_no_gap([nonempty(geom.col_height(l)) for l in geom.gap_family_columns], geom.k, trials)
+    ok &= _mc_no_gap([nonempty(geom.row_width(l)) for l in geom.gap_family_rows], geom.k, trials)
+    return ok.mean()
 
 
 class TestProbabilities:
@@ -183,7 +210,7 @@ class TestProbabilities:
         # u_i = 1 - q^{i-k}
         geom = StairGeometry(2, 4, 9)
         q = 0.45
-        u = geom.u_values(q)
+        u = geom.conditions[0].u(q)
         assert u == pytest.approx([1 - q**3, 1 - q**4, 1 - q**5, 1 - q**6, 1 - q**7])
         rho = rho_exact(GapProcess.explicit(2, u), 5).final
         assert prob_dk(geom, q) == pytest.approx(rho**2, rel=1e-12)
@@ -272,6 +299,75 @@ class TestConditionedSampling:
         assert lat.cells[0, L - 2] != E
         assert lat.cells[0, 0] == A  # origin active
         assert lat.cells[1, 1] == O  # rest of the k x k block occupied
+
+
+    def test_each_rule_is_reported(self):
+        chain = EventChain(2, 26, ((4, 9),))
+        lat = sample_conditioned(chain, q=0.5, seed=1)
+        assert validate_chain(lat, chain) == []
+        jk = SkewGeometry(2, 4, 9)
+
+        def problems(cells, state):
+            broken = Lattice(cells=lat.cells.copy())
+            for x, y in cells:
+                broken.cells[y, x] = state
+            return validate_chain(broken, chain)
+
+        assert problems(jk.column_cells(5), E) == ["jk(4,9) column 5 must be nonempty"]
+        assert problems([(0, 5)], O) == ["jk(4,9) row 6 must be empty"]
+        assert problems([jk.occupied_cell], E) == ["jk(4,9) cell 9 must be nonempty"]
+        assert problems(jk.column_cells(6) + jk.column_cells(7), E) == [
+            "jk(4,9) columns have a 2-gap ending at label 7"
+        ]
+        assert problems([(chain.L - 2, 0)], E) == ["corner cell (24, 0) is empty"]
+
+
+def _line_draws(n, q, trials, already_nonempty, seed=0):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cells = [(x, 0) for x in range(n)]
+    grid = np.full((1, n), 7, dtype=np.uint8)
+    out = np.empty((trials, n), dtype=np.uint8)
+    for t in range(trials):
+        _sample_line(grid, cells, True, q, rng, set(), already_nonempty)
+        out[t] = grid[0]
+    return out
+
+
+class TestSampleLine:
+    @pytest.mark.parametrize("q", [0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("already_nonempty", [False, True])
+    def test_pattern_law(self, q, already_nonempty):
+        """Each occupancy pattern of a 3-cell line at its i.i.d. law, given nonempty or not."""
+        n, trials = 3, 20_000
+        draws = _line_draws(n, q, trials, already_nonempty)
+        assert set(np.unique(draws)) <= {E, O}
+        counts = {}
+        for row in draws.tolist():
+            counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+        for pattern in np.ndindex(*(2,) * n):
+            m = sum(pattern)
+            p = (1 - q) ** m * q ** (n - m)
+            if not already_nonempty:
+                p = 0.0 if m == 0 else p / (1 - q**n)
+            est = counts.get(pattern, 0) / trials
+            assert abs(est - p) <= 4 * math.sqrt(max(p * (1 - p), 1 / trials) / trials)
+
+    def test_extreme_q(self):
+        # one line in 10^12 is empty at this q: retrying until a cell is
+        # occupied would not end, the inverted geometric draw does
+        draws = _line_draws(4, 1 - 1e-12, 4000, already_nonempty=False)
+        assert (draws.sum(axis=1) == O).all()
+        first = draws.argmax(axis=1)
+        assert all(abs(np.mean(first == j) - 0.25) < 0.04 for j in range(4))
+        assert (_line_draws(4, 1e-300, 50, already_nonempty=False) == O).all()
+
+    def test_empty_status_and_skipped_cells(self):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        grid = np.full((1, 5), O, dtype=np.uint8)
+        _sample_line(grid, [(x, 0) for x in range(5)], False, 0.5, rng, {(2, 0)}, False)
+        assert grid.tolist() == [[E, E, O, E, E]]
+        _sample_line(grid, [(2, 0)], True, 0.5, rng, {(2, 0)}, False)  # nothing left to draw
+        assert grid.tolist() == [[E, E, O, E, E]]
 
 
 class TestGrowthGuarantee:

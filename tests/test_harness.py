@@ -12,7 +12,6 @@ from perckit.harness import (
     ExperimentConfig,
     MCResult,
     _boundary_trials,
-    _variant_for,
     default_trend_window,
     results_to_csv,
     scan_threshold,
@@ -102,7 +101,7 @@ class TestConfig:
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="foo"):
-            _variant_for("foo", 2)
+            ExperimentConfig(model="foo", k_values=(2,), L_values=(8,), q_values=(0.5,), seed=1)
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -249,6 +248,7 @@ class TestTrend:
             2, (0.5, 0.4, 0.3), trials=400, seed=9, L_rule=lambda s: 12
         )
         assert report.lambda_k == pytest.approx(lambda_k(2))
+        assert report.model == "local"  # the default local variant for k >= 2
         assert len(report.estimates) == 3
         if not report.degenerate:
             assert report.slope < 0
@@ -269,6 +269,16 @@ class TestTrend:
             rep_f.estimates, rep_m.estimates, rep_f.stderrs, rep_m.stderrs
         ):
             assert pf <= pm + 4 * math.hypot(ef, em)
+        rep_default = trend_check_theorem1(
+            1, (s, s * 0.9), trials=trials, seed=13, L_rule=lambda _: L
+        )
+        assert rep_default.model == "modified"  # the default local variant for k = 1
+        assert rep_default.successes == rep_m.successes
+
+    @pytest.mark.parametrize("model,k", [("global", 2), ("local", 1), ("frobose", 2), ("foo", 2)])
+    def test_rejects_a_model_that_does_not_run(self, model, k):
+        with pytest.raises(ValueError):
+            trend_check_theorem1(k, (0.5, 0.4), trials=2, seed=0, model=model)
 
 
 class TestSweep:
