@@ -57,7 +57,7 @@ from .gap_process import GapProcess, rho_exact
 from .special_fn import fk_eval
 from .lattice import (
     CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, reference_fixpoint,
-    to_text,
+    to_text, unpack_board,
 )
 
 __all__ = [
@@ -96,6 +96,8 @@ class Condition:
     kind: str
     labels: Tuple[int, ...]
     lines: Tuple[Tuple[Cell, ...], ...]
+    # NO_GAP backward tables by (q, k, forced lines), built on first use
+    _gap_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, rule: str, kind: str, labels: Iterable[int], cells_of) -> "Condition":
@@ -107,10 +109,18 @@ class Condition:
         return 1.0 - np.power(q, np.array([len(line) for line in self.lines], dtype=float))
 
     def statuses(self, q: float, k: int, forced: Set[int], rng) -> List[bool]:
-        """Each line's nonemptiness: set by the rule, or drawn gap-free for NO_GAP."""
-        if self.rule == NO_GAP:
-            return _sample_gap_pattern(list(self.u(q)), k, forced, rng)
-        return [self.rule == NONEMPTY] * len(self.lines)
+        """Each line's nonemptiness: set by the rule, or drawn gap-free for NO_GAP.
+
+        A NO_GAP family's backward table depends on q, k and the forced
+        lines only, so each trial just draws the forward pass.
+        """
+        if self.rule != NO_GAP:
+            return [self.rule == NONEMPTY] * len(self.lines)
+        key = (q, k, frozenset(forced))
+        table = self._gap_tables.get(key)
+        if table is None:
+            table = self._gap_tables[key] = _gap_table(list(self.u(q)), k, forced)
+        return _draw_gap_pattern(table, rng)
 
 
 def _col_cells(label: int, height: int) -> List[Cell]:
@@ -384,9 +394,15 @@ def _sample_gap_pattern(u: Sequence[float], k: int, forced: Set[int], rng) -> Li
     """Draw nonemptiness statuses conditioned on 'no k consecutive empty'.
 
     Backward log-space recurrence S[j][r] = P(suffix j.. gap-free | r
-    trailing empties), then forward sampling from the exact conditionals.
-    Indices in `forced` have status True with probability 1.
+    trailing empties) (`_gap_table`), then forward sampling from the exact
+    conditionals (`_draw_gap_pattern`).  Indices in `forced` have status
+    True with probability 1.
     """
+    return _draw_gap_pattern(_gap_table(u, k, forced), rng)
+
+
+def _gap_table(u: Sequence[float], k: int, forced: Set[int]) -> List[List[float]]:
+    """log P(line j nonempty | r trailing empties), by [j][r]: the drawless half."""
     n = len(u)
     log_u = [0.0 if i in forced else (math.log(u[i]) if u[i] > 0 else -math.inf) for i in range(n)]
     log_1mu = [
@@ -405,12 +421,16 @@ def _sample_gap_pattern(u: Sequence[float], k: int, forced: Set[int], rng) -> Li
             row[r] = hi if hi == NEG else hi + math.log(math.exp(succ - hi) + math.exp(fail - hi))
     if suffix[0][0] == NEG:
         raise ValueError("conditioning event has probability zero")
+    return [[log_u[j] + suffix[j + 1][0] - s for s in suffix[j]] for j in range(n)]
+
+
+def _draw_gap_pattern(log_p1: List[List[float]], rng) -> List[bool]:
+    """The forward pass of `_sample_gap_pattern`: one `rng.random()` per line."""
     out = []
     r = 0
-    for j in range(n):
-        log_p1 = log_u[j] + suffix[j + 1][0] - suffix[j][r]
-        occur = math.log(max(rng.random(), 1e-300)) < log_p1
-        out.append(bool(occur))
+    for row in log_p1:
+        occur = math.log(max(rng.random(), 1e-300)) < row[r]
+        out.append(occur)
         r = 0 if occur else r + 1
     return out
 
@@ -599,25 +619,46 @@ def _run_case(results: List[CaseResult], models: List[ModelSpec],
               build: Callable[[int], Lattice], side: int, seeds: Iterable[int]) -> None:
     """Count, per model, the trials whose closure leaves R(side, side) short of Active.
 
-    Each trial configuration is built once and decided under every model,
-    `results[i]` counting for `models[i]`.  The bitboard closure decides
-    each trial, stopping once the square is filled.  A trial it fails is
-    run again through `reference_fixpoint`, the naive oracle, which gives
-    the counterexample snapshot and cross-checks the verdict.
+    Each trial configuration is built once, in seed order, and decided
+    under every model, `results[i]` counting for `models[i]`.  The trials
+    share one board, each in its own window, side by side with k blank
+    columns between neighbours: more than the reach of any rule (the l1
+    ball of radius k under local k, radius 1 under modified and Frobose).
+    The blank cells lie outside every window and never fire, so the trials
+    cannot interact.  One bitboard closure per model runs until every
+    square that fits its window is Active, or to the fixpoint; the rules
+    are monotone, so each trial gets the verdict of a closure on its own
+    window.  A trial whose square is short of Active, or does not fit its
+    window, is run again alone through `reference_fixpoint`, the naive
+    oracle, which gives the counterexample snapshot and cross-checks the
+    verdict.
     """
-    for seed in seeds:
-        lat = build(seed)
-        W, cells = lat.width, lat.cells.reshape(-1)
-        square = sum(((1 << side) - 1) << (y * W) for y in range(side))  # R(side, side)
-        start = pack_board(cells == CellState.ACTIVE)
-        occupied = pack_board(cells == CellState.OCCUPIED)
-        for res, model in zip(results, models):
-            active, _ = bitboard_closure(model, W, lat.height, start, occupied,
-                                         stop=lambda board: board & square == square)
-            if active & square == square:
+    seeds = list(seeds)
+    lattices = [build(seed) for seed in seeds]
+    gap = max(model.k for model in models)
+    lefts = np.cumsum([0] + [lat.width + gap for lat in lattices[:-1]]).tolist()
+    height, width = max(lat.height for lat in lattices), lefts[-1] + lattices[-1].width
+    cells = np.zeros((height, width), dtype=np.uint8)
+    inside = np.zeros((height, width), dtype=bool)
+    for lat, x in zip(lattices, lefts):
+        cells[:lat.height, x:x + lat.width] = lat.cells
+        inside[:lat.height, x:x + lat.width] = True
+    fits = [side <= min(lat.width, lat.height) for lat in lattices]
+    square = sum(((1 << side) - 1) << (y * width) for y in range(side))  # R(side, side)
+    target = sum(square << x for x, fit in zip(lefts, fits) if fit)
+    boards = (pack_board(cells == CellState.ACTIVE), pack_board(cells == CellState.OCCUPIED))
+    window = pack_board(inside)
+    filled = []
+    for model in models:
+        active, _ = bitboard_closure(model, width, height, *boards, window=window,
+                                     stop=lambda board: board & target == target)
+        filled.append(unpack_board(active, (height, width)))
+    for seed, lat, x, fit in zip(seeds, lattices, lefts, fits):
+        for res, model, active in zip(results, models, filled):
+            if fit and active[:side, x:x + side].all():
                 continue
             fixed, _ = reference_fixpoint(lat, model)
-            if np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
+            if fit and np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
                 raise AssertionError(
                     f"bitboard closure and reference_fixpoint disagree on {res.kind} seed {seed}"
                 )

@@ -165,8 +165,8 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
     return successes
 
 
-def _scan_point(args) -> MCResult:
-    model, k, q, s, L, trials, point_seed = args
+def _scan_point(model: str, k: int, q: float, s: float, L: int, trials: int,
+                point_seed: int) -> MCResult:
     spec = ModelSpec(variant=Variant(model), k=k, q=q)
     t0 = time.perf_counter()
     successes = _boundary_trials(spec, L, trials, point_seed)
@@ -183,23 +183,16 @@ def _scan_point(args) -> MCResult:
     )
 
 
-def scan_threshold(config: ExperimentConfig, workers: int = 1) -> List[MCResult]:
-    """Boundary-reach frequency over the config grid; deterministic per seed.
+def scan_threshold(config: ExperimentConfig) -> List[MCResult]:
+    """Boundary-reach frequency over the config grid, in grid order.
 
-    Points fan out to a process pool when workers > 1; every point's seed
-    is derived from its grid index alone and results come back merged in
-    grid order, so the output is identical for any worker count.
+    Every point's seed is derived from its grid index alone, so the output
+    is deterministic per seed.
     """
-    jobs = [
-        (config.model, k, q, s, L, config.trials, derive_seed(config.seed, idx))
+    return [
+        _scan_point(config.model, k, q, s, L, config.trials, derive_seed(config.seed, idx))
         for idx, (k, q, s, L) in enumerate(config.points())
     ]
-    if workers <= 1:
-        return [_scan_point(job) for job in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_point, jobs))
 
 
 def results_to_csv(results: Sequence[MCResult]) -> str:

@@ -29,13 +29,15 @@ as uint8 arrays indexed [y, x].
 One engine implements the rules.  `bitboard_closure` packs a W x H window
 into Python-int bitboards, bit y*W + x for cell (x, y), and runs each
 synchronous generation as a few dozen shifts, ANDs and ORs on whole
-boards, from any Active start set, with an optional stop test and a
-generation budget.  `step` (one generation) and `run_to_fixpoint` pack a
-`Lattice`, run the closure and unpack the result; they serve `simulate`
-and the tests.  `harness` runs its boundary-reach trials through
-`bitboard_reaches_far_edge` (stop at the first far-edge activation), and
-`growth_events` its D_k/J_k/E_k trials (stop once the target square is
-Active).
+boards, from any Active start set, with an optional stop test, a
+generation budget and an optional window mask (cells outside it never
+fire).  `step` (one generation) and `run_to_fixpoint` pack a `Lattice`,
+run the closure and unpack the result; they serve `simulate` and the
+tests.  `harness` runs its boundary-reach trials through
+`bitboard_reaches_far_edge` (stop at the first far-edge activation).
+`growth_events` lays all the D_k/J_k/E_k trials of one case on one
+masked board, side by side with k blank separator columns, and runs one
+closure per model (stop once every target square is Active).
 
 The oracles share no code with the engine: `step_reference` is a
 deliberately naive per-cell step, `reference_fixpoint` iterates it to the
@@ -65,6 +67,7 @@ __all__ = [
     "spans",
     "reaches_boundary",
     "pack_board",
+    "unpack_board",
     "bitboard_closure",
     "bitboard_reaches_far_edge",
     "extract_growth_sequence",
@@ -336,8 +339,10 @@ def reaches_boundary(lattice: Lattice, spec: ModelSpec) -> bool:
             or (y == h - 1 and oy != h - 1)
         )
 
-    seen = np.zeros_like(active)
-    seen[oy, ox] = True
+    # nested lists: the walk reads one cell at a time, which numpy indexing makes slow
+    active = active.tolist()
+    seen = [[False] * w for _ in range(h)]
+    seen[oy][ox] = True
     frontier = [(ox, oy)]
     while frontier:
         nxt = []
@@ -346,8 +351,8 @@ def reaches_boundary(lattice: Lattice, spec: ModelSpec) -> bool:
                 return True
             for dx, dy in offsets:
                 nx, ny = x + dx, y + dy
-                if 0 <= nx < w and 0 <= ny < h and active[ny, nx] and not seen[ny, nx]:
-                    seen[ny, nx] = True
+                if 0 <= nx < w and 0 <= ny < h and active[ny][nx] and not seen[ny][nx]:
+                    seen[ny][nx] = True
                     nxt.append((nx, ny))
         frontier = nxt
     return False
@@ -383,6 +388,16 @@ def pack_board(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, axis=None, bitorder="little").tobytes(), "little")
 
 
+def unpack_board(board: int, shape: Tuple[int, int]) -> np.ndarray:
+    """The inverse of `pack_board` for a grid of `shape`: a boolean array."""
+    n = shape[0] * shape[1]
+    bits = np.unpackbits(
+        np.frombuffer(board.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+        count=n, bitorder="little",
+    )
+    return bits.reshape(shape).astype(bool)
+
+
 def bitboard_closure(
     spec: ModelSpec,
     width: int,
@@ -391,14 +406,19 @@ def bitboard_closure(
     occupied: int,
     stop: Optional[Callable[[int], object]] = None,
     budget: Optional[int] = None,
+    window: Optional[int] = None,
 ) -> Tuple[int, int]:
     """(Active board, generations run) of the closure on a width x height window.
 
     The window is packed row-major into Python ints, bit y*width + x for
     cell (x, y) (see `pack_board`).  `active` and `occupied` are the start
     boards; every other cell is Empty, and the global rule counts Occupied
-    cells as Empty too.  Each synchronous generation applies the rule to
-    whole boards (Active, Occupied-not-active, Empty):
+    cells as Empty too.  A `window` board narrows the cells that may fire:
+    a cell outside it is neither Empty nor Occupied, so it never becomes
+    Active, though a start Active cell there still counts as Active.  With
+    no window every cell of the board may fire.  Each synchronous
+    generation applies the rule to whole boards (Active,
+    Occupied-not-active, Empty):
 
     * global and local k: an Empty cell fires on at least k Active cells
       among its 4(k-1) cross neighbours, counted by a saturating bit-sliced
@@ -435,9 +455,10 @@ def bitboard_closure(
             board >>= -dy * width
         return board
 
+    window = full if window is None else window & full
     active &= full
-    occupied = 0 if variant is Variant.GLOBAL_K else occupied & full & ~active
-    empty = full & ~(active | occupied)
+    occupied = 0 if variant is Variant.GLOBAL_K else occupied & window & ~active
+    empty = window & ~(active | occupied)
     counts_cross = variant is Variant.GLOBAL_K or variant is Variant.LOCAL_K
     for generations in range(budget):
         if stop is not None and stop(active):
@@ -488,13 +509,8 @@ def _run_closure(lattice: Lattice, spec: ModelSpec, budget: int) -> Tuple[Lattic
         pack_board(cells == CellState.ACTIVE), pack_board(cells == CellState.OCCUPIED),
         budget=budget,
     )
-    n = cells.size
-    now_active = np.unpackbits(
-        np.frombuffer(active.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
-        count=n, bitorder="little",
-    ).reshape(cells.shape)
     out = cells.copy()
-    out[now_active.astype(bool)] = CellState.ACTIVE
+    out[unpack_board(active, cells.shape)] = CellState.ACTIVE
     return Lattice(cells=out, origin=lattice.origin), generations
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the perckit CLI."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -233,6 +234,22 @@ class TestSimulationCommands:
         payload = {"k": k, "trials": 4, "total_violations": 0, "cases": cases}
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_events_verify_output_digest(self, capsys):
+        # exit codes and stdout over k, q and seed, pinned by one SHA-256
+        # taken before the growth trials shared a board
+        digest = hashlib.sha256()
+        for k in (1, 2, 3, 4):
+            for q in ("0.3", "0.5", "0.8"):
+                for seed in ("0", "7"):
+                    code, out, _ = run_cli(
+                        capsys, "events", "verify", "--k", str(k), "--trials", "12",
+                        "--seed", seed, "--q", q,
+                    )
+                    digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "45893ceb8ea4f1d6f1bd34da0e94134d8a9e16847e9b6a1729a821e982ce5b00"
+        )
 
     @pytest.mark.parametrize("bad", [
         ["--q", "0.0"], ["--q", "1.0"], ["--q", "1.5"], ["--trials", "0"], ["--k", "0"],

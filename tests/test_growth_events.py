@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perckit import growth_events
 from perckit.gap_process import GapProcess, rho_exact
@@ -27,7 +29,10 @@ from perckit.growth_events import (
     _sample_gap_pattern,
     _sample_line,
 )
-from perckit.lattice import CellState, Lattice, ModelSpec, Variant, run_to_fixpoint, to_text
+from perckit.lattice import (
+    CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, reference_fixpoint,
+    run_to_fixpoint, to_text,
+)
 
 E, O, A = CellState.EMPTY, CellState.OCCUPIED, CellState.ACTIVE
 
@@ -557,6 +562,97 @@ class TestTrialRunner:
         args = {"k": 2, "trials": 3, "seed": 1, "q": 0.5, **kwargs}
         with pytest.raises(ValueError):
             verify_growth_guarantee(**args)
+
+
+def _run_case_per_trial(results, models, build, side, seeds):
+    """`_run_case` as it was written before the trials shared a board: one closure each.
+
+    One change: a square that does not fit its window counts as unfilled.
+    The old loop read such a square off the row-major board, where it wraps
+    into the next row.
+    """
+    for seed in seeds:
+        lat = build(seed)
+        W, cells = lat.width, lat.cells.reshape(-1)
+        fit = side <= min(lat.width, lat.height)
+        square = sum(((1 << side) - 1) << (y * W) for y in range(side))  # R(side, side)
+        start = pack_board(cells == CellState.ACTIVE)
+        occupied = pack_board(cells == CellState.OCCUPIED)
+        for res, model in zip(results, models):
+            active, _ = bitboard_closure(model, W, lat.height, start, occupied,
+                                         stop=lambda board: board & square == square)
+            if fit and active & square == square:
+                continue
+            fixed, _ = reference_fixpoint(lat, model)
+            if fit and np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
+                raise AssertionError(
+                    f"bitboard closure and reference_fixpoint disagree on {res.kind} seed {seed}"
+                )
+            res.violations += 1
+            if res.counterexample is None:
+                res.counterexample = to_text(fixed)
+
+
+_MODEL_SETS = [
+    [ModelSpec(Variant.LOCAL_MODIFIED, k=1, q=0.5), ModelSpec(Variant.LOCAL_FROBOSE, k=1, q=0.5)],
+    [ModelSpec(Variant.LOCAL_K, k=2, q=0.5)],
+    [ModelSpec(Variant.LOCAL_K, k=3, q=0.5)],
+    [ModelSpec(Variant.LOCAL_K, k=4, q=0.5)],
+    [ModelSpec(Variant.LOCAL_K, k=2, q=0.5), ModelSpec(Variant.LOCAL_K, k=3, q=0.5)],
+]
+
+
+@st.composite
+def _trial_batches(draw):
+    """(models, trial windows by seed, side): windows of mixed sizes, often filled at their edges."""
+    models = draw(st.sampled_from(_MODEL_SETS))
+    trials = {}
+    for seed in draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True)):
+        W, H = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cells = np.where(rng.random((H, W)) < draw(st.floats(0.0, 1.0)), O, E).astype(np.uint8)
+        cells[rng.random((H, W)) < draw(st.floats(0.0, 0.2))] = A
+        for x in draw(st.sets(st.sampled_from([0, W - 1]))):  # a whole edge column set
+            cells[:, x] = draw(st.sampled_from([O, A]))
+        if draw(st.booleans()):
+            cells[0, 0] = A
+        trials[seed] = Lattice(cells=cells)
+    return models, trials, draw(st.integers(1, 11))
+
+
+class TestBatchedTrials:
+    @given(_trial_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_closure_per_trial(self, batch):
+        models, trials, side = batch
+        outcomes = []
+        for runner in (_run_case, _run_case_per_trial):
+            results = [CaseResult("dk", m.k, m.variant.value, 4, 9, len(trials), 0) for m in models]
+            runner(results, models, trials.__getitem__, side, list(trials))
+            outcomes.append(results)
+        assert outcomes[0] == outcomes[1]
+
+    def test_square_larger_than_its_window_is_a_violation(self):
+        # R(9, 9) does not fit an 8 x 8 window, though the whole window fills
+        build = functools.partial(_planted_trial, 8, 8)
+        res = CaseResult("dk", 2, "local", 4, 9, 2, 0)
+        _run_case([res], [TestTrialRunner.model], build, side=9, seeds=range(2))
+        assert res.violations == 2
+        assert res.counterexample == ("A" * 8 + "\n") * 8
+
+    def test_trials_do_not_reach_across_the_separator(self):
+        # a lone Active cell at the right edge of one window and a fully
+        # Occupied neighbour: under local k the l1 ball of radius k would
+        # reach across a gap narrower than k + 1 columns
+        k = 3
+        model = ModelSpec(Variant.LOCAL_K, k=k, q=0.5)
+        left = np.zeros((4, 4), dtype=np.uint8)
+        left[0, 3] = A
+        right = np.full((4, 4), O, dtype=np.uint8)
+        trials = [Lattice(cells=left), Lattice(cells=right)]
+        res = CaseResult("dk", k, "local", 4, 9, 2, 0)
+        _run_case([res], [model], trials.__getitem__, side=1, seeds=range(2))
+        assert res.violations == 2
 
 
 class TestChainCaching:

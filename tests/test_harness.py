@@ -170,15 +170,6 @@ class TestScan:
         ests = [counts[q] for q in qs]
         assert all(a >= b for a, b in zip(ests, ests[1:]))
 
-    def test_worker_count_does_not_change_output(self):
-        cfg = ExperimentConfig(
-            model="local", k_values=(2,), L_values=(10,), q_values=(0.55, 0.65), trials=40,
-            seed=21,
-        )
-        serial = results_to_csv(scan_threshold(cfg, workers=1))
-        parallel = results_to_csv(scan_threshold(cfg, workers=2))
-        assert serial == parallel
-
     def test_write_json(self, tmp_path):
         cfg = ExperimentConfig(
             model="frobose", k_values=(1,), L_values=(8,), q_values=(0.6,), trials=20, seed=2
