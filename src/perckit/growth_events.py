@@ -615,25 +615,38 @@ def _growth_cases(k: int, q: float) -> list:
     return cases
 
 
+# trials per shared board: memory stays bounded as the trial count grows
+_BOARD_TRIALS = 128
+
+
 def _run_case(results: List[CaseResult], models: List[ModelSpec],
               build: Callable[[int], Lattice], side: int, seeds: Iterable[int]) -> None:
     """Count, per model, the trials whose closure leaves R(side, side) short of Active.
 
     Each trial configuration is built once, in seed order, and decided
     under every model, `results[i]` counting for `models[i]`.  The trials
-    share one board, each in its own window, side by side with k blank
-    columns between neighbours: more than the reach of any rule (the l1
-    ball of radius k under local k, radius 1 under modified and Frobose).
-    The blank cells lie outside every window and never fire, so the trials
-    cannot interact.  One bitboard closure per model runs until every
-    square that fits its window is Active, or to the fixpoint; the rules
-    are monotone, so each trial gets the verdict of a closure on its own
-    window.  A trial whose square is short of Active, or does not fit its
-    window, is run again alone through `reference_fixpoint`, the naive
-    oracle, which gives the counterexample snapshot and cross-checks the
-    verdict.
+    run `_BOARD_TRIALS` at a time on one board (`_run_board`).
     """
     seeds = list(seeds)
+    for first in range(0, len(seeds), _BOARD_TRIALS):
+        _run_board(results, models, build, side, seeds[first:first + _BOARD_TRIALS])
+
+
+def _run_board(results: List[CaseResult], models: List[ModelSpec],
+               build: Callable[[int], Lattice], side: int, seeds: List[int]) -> None:
+    """`_run_case` on one board, each trial in its own window.
+
+    The windows lie side by side with k blank columns between neighbours:
+    more than the reach of any rule (the l1 ball of radius k under local k,
+    radius 1 under modified and Frobose).  The blank cells lie outside
+    every window and never fire, so the trials cannot interact.  One
+    bitboard closure per model runs until every square that fits its
+    window is Active, or to the fixpoint; the rules are monotone, so each
+    trial gets the verdict of a closure on its own window.  A trial whose
+    square is short of Active, or does not fit its window, is run again
+    alone through `reference_fixpoint`, the naive oracle, which gives the
+    counterexample snapshot and cross-checks the verdict.
+    """
     lattices = [build(seed) for seed in seeds]
     gap = max(model.k for model in models)
     lefts = np.cumsum([0] + [lat.width + gap for lat in lattices[:-1]]).tolist()

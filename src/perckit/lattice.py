@@ -35,9 +35,10 @@ fire).  `step` (one generation) and `run_to_fixpoint` pack a `Lattice`,
 run the closure and unpack the result; they serve `simulate` and the
 tests.  `harness` runs its boundary-reach trials through
 `bitboard_reaches_far_edge` (stop at the first far-edge activation).
-`growth_events` lays all the D_k/J_k/E_k trials of one case on one
-masked board, side by side with k blank separator columns, and runs one
-closure per model (stop once every target square is Active).
+`growth_events` lays the D_k/J_k/E_k trials of one case on shared
+masked boards, up to 128 trials each, side by side with k blank
+separator columns, and runs one closure per model and board (stop once
+every target square is Active).
 
 The oracles share no code with the engine: `step_reference` is a
 deliberately naive per-cell step, `reference_fixpoint` iterates it to the

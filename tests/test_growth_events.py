@@ -2,6 +2,7 @@
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -626,11 +627,12 @@ class TestBatchedTrials:
     def test_matches_one_closure_per_trial(self, batch):
         models, trials, side = batch
         outcomes = []
-        for runner in (_run_case, _run_case_per_trial):
+        for runner, per_board in ((_run_case, 128), (_run_case, 2), (_run_case_per_trial, None)):
             results = [CaseResult("dk", m.k, m.variant.value, 4, 9, len(trials), 0) for m in models]
-            runner(results, models, trials.__getitem__, side, list(trials))
+            with mock.patch.object(growth_events, "_BOARD_TRIALS", per_board):
+                runner(results, models, trials.__getitem__, side, list(trials))
             outcomes.append(results)
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_square_larger_than_its_window_is_a_violation(self):
         # R(9, 9) does not fit an 8 x 8 window, though the whole window fills
