@@ -390,19 +390,14 @@ class EventChain:
         return tuple(out)
 
 
-def _sample_gap_pattern(u: Sequence[float], k: int, forced: Set[int], rng) -> List[bool]:
-    """Draw nonemptiness statuses conditioned on 'no k consecutive empty'.
+def _gap_table(u: Sequence[float], k: int, forced: Set[int]) -> List[List[float]]:
+    """The exact conditionals of nonemptiness given 'no k consecutive empty'.
 
     Backward log-space recurrence S[j][r] = P(suffix j.. gap-free | r
-    trailing empties) (`_gap_table`), then forward sampling from the exact
-    conditionals (`_draw_gap_pattern`).  Indices in `forced` have status
-    True with probability 1.
+    trailing empties), returned as log P(line j nonempty | r trailing
+    empties) by [j][r]; `_draw_gap_pattern` samples from it.  Indices in
+    `forced` have status True with probability 1.
     """
-    return _draw_gap_pattern(_gap_table(u, k, forced), rng)
-
-
-def _gap_table(u: Sequence[float], k: int, forced: Set[int]) -> List[List[float]]:
-    """log P(line j nonempty | r trailing empties), by [j][r]: the drawless half."""
     n = len(u)
     log_u = [0.0 if i in forced else (math.log(u[i]) if u[i] > 0 else -math.inf) for i in range(n)]
     log_1mu = [
@@ -425,7 +420,7 @@ def _gap_table(u: Sequence[float], k: int, forced: Set[int]) -> List[List[float]
 
 
 def _draw_gap_pattern(log_p1: List[List[float]], rng) -> List[bool]:
-    """The forward pass of `_sample_gap_pattern`: one `rng.random()` per line."""
+    """Statuses drawn forward from a `_gap_table`: one `rng.random()` per line."""
     out = []
     r = 0
     for row in log_p1:
@@ -636,10 +631,15 @@ def _run_board(results: List[CaseResult], models: List[ModelSpec],
                build: Callable[[int], Lattice], side: int, seeds: List[int]) -> None:
     """`_run_case` on one board, each trial in its own window.
 
-    The windows lie side by side with k blank columns between neighbours:
-    more than the reach of any rule (the l1 ball of radius k under local k,
-    radius 1 under modified and Frobose).  The blank cells lie outside
-    every window and never fire, so the trials cannot interact.  One
+    The windows are rectangles laid side by side, top-aligned, with k (the
+    largest k of `models`) blank columns between neighbours.  The blank
+    cells, in the separators and below the shorter windows, start Empty,
+    and none of them ever fires: while none has, such a cell sees Active
+    cells along one axis only, at most k - 1 of its cross neighbours under
+    the k rules, and never both a vertical and a horizontal neighbour
+    under modified and Frobose.  An Occupied cell's reach (the l1 ball of
+    radius k under local k, radius 1 under modified and Frobose) stops
+    short of the next window.  So the trials cannot interact.  One
     bitboard closure per model runs until every square that fits its
     window is Active, or to the fixpoint; the rules are monotone, so each
     trial gets the verdict of a closure on its own window.  A trial whose
@@ -652,18 +652,15 @@ def _run_board(results: List[CaseResult], models: List[ModelSpec],
     lefts = np.cumsum([0] + [lat.width + gap for lat in lattices[:-1]]).tolist()
     height, width = max(lat.height for lat in lattices), lefts[-1] + lattices[-1].width
     cells = np.zeros((height, width), dtype=np.uint8)
-    inside = np.zeros((height, width), dtype=bool)
     for lat, x in zip(lattices, lefts):
         cells[:lat.height, x:x + lat.width] = lat.cells
-        inside[:lat.height, x:x + lat.width] = True
     fits = [side <= min(lat.width, lat.height) for lat in lattices]
     square = sum(((1 << side) - 1) << (y * width) for y in range(side))  # R(side, side)
     target = sum(square << x for x, fit in zip(lefts, fits) if fit)
     boards = (pack_board(cells == CellState.ACTIVE), pack_board(cells == CellState.OCCUPIED))
-    window = pack_board(inside)
     filled = []
     for model in models:
-        active, _ = bitboard_closure(model, width, height, *boards, window=window,
+        active, _ = bitboard_closure(model, width, height, *boards,
                                      stop=lambda board: board & target == target)
         filled.append(unpack_board(active, (height, width)))
     for seed, lat, x, fit in zip(seeds, lattices, lefts, fits):

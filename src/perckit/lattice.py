@@ -29,16 +29,15 @@ as uint8 arrays indexed [y, x].
 One engine implements the rules.  `bitboard_closure` packs a W x H window
 into Python-int bitboards, bit y*W + x for cell (x, y), and runs each
 synchronous generation as a few dozen shifts, ANDs and ORs on whole
-boards, from any Active start set, with an optional stop test, a
-generation budget and an optional window mask (cells outside it never
-fire).  `step` (one generation) and `run_to_fixpoint` pack a `Lattice`,
-run the closure and unpack the result; they serve `simulate` and the
-tests.  `harness` runs its boundary-reach trials through
+boards, from any Active start set, with an optional stop test and a
+generation budget.  `step` (one generation) and `run_to_fixpoint` pack a
+`Lattice`, run the closure and unpack the result; they serve `simulate`
+and the tests.  `harness` runs its boundary-reach trials through
 `bitboard_reaches_far_edge` (stop at the first far-edge activation).
 `growth_events` lays the D_k/J_k/E_k trials of one case on shared
-masked boards, up to 128 trials each, side by side with k blank
-separator columns, and runs one closure per model and board (stop once
-every target square is Active).
+boards, up to 128 trials each, side by side with k blank separator
+columns, and runs one closure per model and board (stop once every
+target square is Active).
 
 The oracles share no code with the engine: `step_reference` is a
 deliberately naive per-cell step, `reference_fixpoint` iterates it to the
@@ -407,19 +406,14 @@ def bitboard_closure(
     occupied: int,
     stop: Optional[Callable[[int], object]] = None,
     budget: Optional[int] = None,
-    window: Optional[int] = None,
 ) -> Tuple[int, int]:
     """(Active board, generations run) of the closure on a width x height window.
 
     The window is packed row-major into Python ints, bit y*width + x for
     cell (x, y) (see `pack_board`).  `active` and `occupied` are the start
     boards; every other cell is Empty, and the global rule counts Occupied
-    cells as Empty too.  A `window` board narrows the cells that may fire:
-    a cell outside it is neither Empty nor Occupied, so it never becomes
-    Active, though a start Active cell there still counts as Active.  With
-    no window every cell of the board may fire.  Each synchronous
-    generation applies the rule to whole boards (Active,
-    Occupied-not-active, Empty):
+    cells as Empty too.  Each synchronous generation applies the rule to
+    whole boards (Active, Occupied-not-active, Empty):
 
     * global and local k: an Empty cell fires on at least k Active cells
       among its 4(k-1) cross neighbours, counted by a saturating bit-sliced
@@ -456,10 +450,9 @@ def bitboard_closure(
             board >>= -dy * width
         return board
 
-    window = full if window is None else window & full
     active &= full
-    occupied = 0 if variant is Variant.GLOBAL_K else occupied & window & ~active
-    empty = window & ~(active | occupied)
+    occupied = 0 if variant is Variant.GLOBAL_K else occupied & full & ~active
+    empty = full & ~(active | occupied)
     counts_cross = variant is Variant.GLOBAL_K or variant is Variant.LOCAL_K
     for generations in range(budget):
         if stop is not None and stop(active):

@@ -26,8 +26,9 @@ from perckit.growth_events import (
     sample_conditioned,
     validate_chain,
     verify_growth_guarantee,
+    _draw_gap_pattern,
+    _gap_table,
     _run_case,
-    _sample_gap_pattern,
     _sample_line,
 )
 from perckit.lattice import (
@@ -402,8 +403,13 @@ class TestGrowthGuarantee:
             assert np.all(fixed.cells[:side, :side] == A)
 
 
+def _gap_pattern(u, k, forced, rng):
+    """One draw of the gap-free sampler: the table, then the forward pass."""
+    return _draw_gap_pattern(_gap_table(u, k, forced), rng)
+
+
 def _gap_pattern_numpy(u, k, forced, rng):
-    """`_sample_gap_pattern` as it was written with a numpy backward table."""
+    """The gap-free sampler as it was written with a numpy backward table."""
     n = len(u)
     log_u = [0.0 if i in forced else (math.log(u[i]) if u[i] > 0 else -math.inf) for i in range(n)]
     log_1mu = [
@@ -446,7 +452,7 @@ class TestGapPattern:
             u = list(u)
             forced = {int(i) for i in np.flatnonzero(gen.random(n) < 0.1)}
             results = []
-            for sampler in (_sample_gap_pattern, _gap_pattern_numpy):
+            for sampler in (_gap_pattern, _gap_pattern_numpy):
                 rng = np.random.Generator(np.random.Philox(key=case))
                 try:
                     results.append((sampler(u, k, forced, rng), rng.random()))

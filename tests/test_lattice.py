@@ -412,51 +412,6 @@ class TestGeneralClosure:
         board, _ = bitboard_closure(spec, W, H, *start, stop=lambda b: b & far)
         assert bool(board & far) == bool(active[on_far_edge].any())
 
-    @given(_closure_windows(), st.floats(0.2, 1.0), st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_window_matches_masked_reference(self, window, density, mask_seed):
-        spec, cells, _ = window
-        H, W = cells.shape
-        inside = np.random.default_rng(mask_seed).random((H, W)) < density
-        start = (_pack(cells == A), _pack(cells == O))
-        board, _ = bitboard_closure(spec, W, H, *start, window=_pack(inside))
-        # oracle: the naive step, every cell outside the window put back after each generation
-        cur = cells
-        while True:
-            nxt = step_reference(Lattice(cells=cur), spec)[0].cells
-            nxt[~inside] = cells[~inside]
-            if np.array_equal(nxt, cur):
-                break
-            cur = nxt
-        assert board == _pack(cur == A)
-        outside = _pack(~inside)
-        assert board & outside == start[0] & outside
-        everywhere = _pack(np.ones((H, W), dtype=bool))
-        assert (bitboard_closure(spec, W, H, *start, window=everywhere)
-                == bitboard_closure(spec, W, H, *start))
-
-    @pytest.mark.parametrize("variant,k", [
-        (Variant.GLOBAL_K, 2), (Variant.LOCAL_K, 3), (Variant.LOCAL_MODIFIED, 1),
-        (Variant.LOCAL_FROBOSE, 1),
-    ])
-    def test_no_cell_outside_the_window_fires(self, variant, k):
-        # boards that fill completely without a window: all Occupied from an
-        # Active corner (local), an Active checkerboard (global); with the
-        # left half as the window, exactly the window fills
-        spec = ModelSpec(variant, k=k, q=0.5)
-        W, H = 12, 9
-        if spec.is_local:
-            cells = np.full((H, W), O, dtype=np.uint8)
-            cells[0, 0] = A
-        else:
-            cells = np.where(np.add.outer(np.arange(H), np.arange(W)) % 2 == 0, A, E)
-        inside = np.zeros((H, W), dtype=bool)
-        inside[:, : W // 2] = True
-        start = (_pack(cells == A), _pack(cells == O))
-        assert bitboard_closure(spec, W, H, *start)[0] == _pack(np.ones((H, W), dtype=bool))
-        board, _ = bitboard_closure(spec, W, H, *start, window=_pack(inside))
-        assert board == start[0] | _pack(inside)
-
     def test_stops_once_the_test_holds(self):
         # a fully occupied row grows one cell a generation under the
         # modified rule; stopping at (3, 0) leaves (4, 0) untouched
