@@ -236,14 +236,18 @@ def _mul_binomial(c: List[int], e: int, sign: int) -> None:
         c[e:] = map(add if sign > 0 else sub, c[e:], c[: len(c) - e])
 
 
-def _div_binomial(c: List[int], e: int, sign: int) -> None:
-    """c /= 1 + sign q^e, using 1/(1 + x) = (1 - x)/(1 - x^2)."""
+def _div_binomial(c: List[int], e: int, sign: int, low: int = 0) -> None:
+    """c /= 1 + sign q^e, using 1/(1 + x) = (1 - x)/(1 - x^2).
+
+    `low` is an index below which c is zero.  The quotient is zero there
+    too, so each running sum starts at `low` or later.
+    """
     if e >= len(c):
         return
     if sign > 0:
         _mul_binomial(c, e, -1)
         e *= 2
-    for r in range(min(e, len(c))):
+    for r in range(low, min(low + e, len(c))):
         c[r::e] = accumulate(c[r::e])  # 1/(1 - q^e): running sum with stride e
 
 
@@ -372,11 +376,11 @@ def andrews_gk_series(k: int, order: int) -> IntSeries:
             s_stop += 1
         for s in reversed(range(s_stop)):
             inner[tri * (s + r) ** 2] += -1 if s % 2 else 1
-            if s:
-                _div_binomial(inner, k * s, -1)
+            if s:  # the term just added is the lowest nonzero one
+                _div_binomial(inner, k * s, -1, tri * (s + r) ** 2)
         total[base:] = map(add, total[base:], inner)
         if r:
-            _div_binomial(total, (k + 1) * r, -1)
+            _div_binomial(total, (k + 1) * r, -1, base + tri * r**2)
     _div_euler(total, 1)
     return IntSeries(tuple(total), order)
 

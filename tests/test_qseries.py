@@ -195,6 +195,23 @@ class TestAndrewsSeries:
         table = partition_no_ksequences(k, n)
         assert series.coeffs == tuple(table.values)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_dense_double_sum(self, k):
+        # the (r, s) double sum term by term in dense IntSeries arithmetic,
+        # no Horner form and no in-place division
+        n = 70
+        tri = k * (k + 1) // 2
+        total = IntSeries((), n)
+        for r in range(n + 1):
+            for s in range(n + 1):
+                e = tri * (s + r) ** 2 + (k + 1) * r * (r + 1) // 2
+                if e > n:
+                    break
+                den = pochhammer(k, k, s, n) * pochhammer(k + 1, k + 1, r, n)
+                total = total + IntSeries.monomial(e, n, (-1) ** s) * den.inverse()
+        want = total * pochhammer(1, 1, None, n).inverse()
+        assert andrews_gk_series(k, n).coeffs == want.coeffs
+
     def test_constant_term(self):
         assert andrews_gk_series(3, 5)[0] == 1
 
@@ -235,6 +252,15 @@ class TestSparseKernels:
         order = len(c) - 1
         want = (IntSeries(tuple(c), order) * _binomial(e, sign, order).inverse()).coeffs
         qseries._div_binomial(c, e, sign)
+        assert tuple(c) == want
+
+    @given(_series, st.integers(1, 320), st.sampled_from([1, -1]), st.integers(0, 320))
+    @settings(max_examples=60, deadline=None)
+    def test_div_binomial_from_lowest_nonzero(self, c, e, sign, low):
+        c[:low] = [0] * min(low, len(c))
+        order = len(c) - 1
+        want = (IntSeries(tuple(c), order) * _binomial(e, sign, order).inverse()).coeffs
+        qseries._div_binomial(c, e, sign, low)
         assert tuple(c) == want
 
     @given(_series, st.integers(1, 160))
