@@ -559,24 +559,32 @@ def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
 
 # --- rectangle growth sequences -------------------------------------------
 
-def _line_nonempty(cells: np.ndarray, x0: int, y0: int, x1: int, y1: int):
-    """(row_nonempty, col_nonempty) boolean vectors for the rectangle."""
-    sub = cells[y0 : y1 + 1, x0 : x1 + 1] != CellState.EMPTY
-    return sub.any(axis=1), sub.any(axis=0)
+def _rect_test(cells: np.ndarray, k: int) -> Callable[[int, int, int, int], bool]:
+    """Whether a rectangle (x0, y0, x1, y1) of `cells` has no k consecutive empty lines.
 
+    A line is nonempty where it holds a non-Empty cell.  Row and column
+    prefix counts are built once, and the nonempty flags of every row over
+    one column range (of every column over one row range) once per range,
+    as bytes; a rectangle is then a k-gap search in two slices.
+    """
+    nonempty = cells != CellState.EMPTY
+    # rows[y, x]: non-Empty cells of row y left of column x; cols[y, x]: below row y
+    rows = np.pad(np.cumsum(nonempty, axis=1), ((0, 0), (1, 0)))
+    cols = np.pad(np.cumsum(nonempty, axis=0), ((1, 0), (0, 0)))
+    gap = bytes(k)
 
-def _has_k_gap(nonempty: np.ndarray, k: int) -> bool:
-    run = 0
-    for flag in nonempty:
-        run = 0 if flag else run + 1
-        if run >= k:
-            return True
-    return False
+    @functools.lru_cache(maxsize=None)
+    def row_flags(x0: int, x1: int) -> bytes:
+        return (rows[:, x1 + 1] > rows[:, x0]).tobytes()
 
+    @functools.lru_cache(maxsize=None)
+    def col_flags(y0: int, y1: int) -> bytes:
+        return (cols[y1 + 1] > cols[y0]).tobytes()
 
-def _rect_ok(cells: np.ndarray, k: int, x0: int, y0: int, x1: int, y1: int) -> bool:
-    rows, cols = _line_nonempty(cells, x0, y0, x1, y1)
-    return not (_has_k_gap(rows, k) or _has_k_gap(cols, k))
+    def ok(x0: int, y0: int, x1: int, y1: int) -> bool:
+        return gap not in row_flags(x0, x1)[y0:y1 + 1] and gap not in col_flags(y0, y1)[x0:x1 + 1]
+
+    return ok
 
 
 def extract_growth_sequence(lattice: Lattice, spec: ModelSpec) -> List[Tuple[int, int, int, int]]:
@@ -598,6 +606,7 @@ def extract_growth_sequence(lattice: Lattice, spec: ModelSpec) -> List[Tuple[int
     ox, oy = lattice.origin
     if cells[oy, ox] != CellState.ACTIVE:
         return []
+    rect_ok = _rect_test(cells, k)
     seq = [(ox, oy, ox, oy)]
     x0 = x1 = ox
     y0 = y1 = oy
@@ -613,7 +622,7 @@ def extract_growth_sequence(lattice: Lattice, spec: ModelSpec) -> List[Tuple[int
             le, ri, do, up = mask & 1, (mask >> 1) & 1, (mask >> 2) & 1, (mask >> 3) & 1
             if (le and x0 == 0) or (ri and x1 == w - 1) or (do and y0 == 0) or (up and y1 == h - 1):
                 continue
-            if _rect_ok(cells, k, x0 - le, y0 - do, x1 + ri, y1 + up):
+            if rect_ok(x0 - le, y0 - do, x1 + ri, y1 + up):
                 found = True
                 union = [max(u, v) for u, v in zip(union, (le, ri, do, up))]
         if not found:

@@ -1,10 +1,13 @@
 """Tests for the cellular-automaton engine."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perckit import lattice
 from perckit.lattice import (
     CellState,
     Lattice,
@@ -478,6 +481,63 @@ class TestGrowthSequence:
                 hits += 1
                 assert is_good_configuration(lat, spec)
         assert hits > 10  # the regime actually exercises the implication
+
+
+def _line_nonempty(cells, x0, y0, x1, y1):
+    """(row_nonempty, col_nonempty) boolean vectors for the rectangle."""
+    sub = cells[y0 : y1 + 1, x0 : x1 + 1] != CellState.EMPTY
+    return sub.any(axis=1), sub.any(axis=0)
+
+
+def _has_k_gap(nonempty, k):
+    run = 0
+    for flag in nonempty:
+        run = 0 if flag else run + 1
+        if run >= k:
+            return True
+    return False
+
+
+def _rect_ok(cells, k, x0, y0, x1, y1):
+    """The rectangle test as it was written on numpy slices: the oracle of `_rect_test`."""
+    rows, cols = _line_nonempty(cells, x0, y0, x1, y1)
+    return not (_has_k_gap(rows, k) or _has_k_gap(cols, k))
+
+
+class TestRectangleTest:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_the_slicing_oracle(self, k):
+        gen = np.random.default_rng(40 + k)
+        for _ in range(60):
+            h, w = (int(v) for v in gen.integers(1, 13, size=2))
+            cells = gen.choice([E, O, A], size=(h, w), p=gen.dirichlet([1, 1, 1])).astype(np.uint8)
+            ok = lattice._rect_test(cells, k)
+            for _ in range(40):
+                x0, x1 = sorted(int(v) for v in gen.integers(0, w, size=2))
+                y0, y1 = sorted(int(v) for v in gen.integers(0, h, size=2))
+                assert ok(x0, y0, x1, y1) == _rect_ok(cells, k, x0, y0, x1, y1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_same_growth_sequences_as_the_slicing_oracle(self, k, monkeypatch):
+        # random local windows and their near-critical fixpoints, whose
+        # sequences run long; the oracle goes through the same extension loop
+        variant = Variant.LOCAL_K if k >= 2 else Variant.LOCAL_MODIFIED
+        qc = {1: 0.78, 2: 0.62, 3: 0.45, 4: 0.3}[k]
+        gen = np.random.default_rng(k)
+        lats = []
+        for seed in range(40):
+            L = int(gen.integers(2, 33))
+            spec = ModelSpec(variant, k=k, q=float(gen.uniform(qc - 0.15, qc + 0.1)))
+            ox, oy = (int(v) for v in gen.integers(0, L, size=2))
+            lat = sample_initial(spec, L, L, seed=seed, localized=True, origin=(ox, oy))
+            lat.cells[oy, ox] = A
+            lats += [lat, run_to_fixpoint(lat, spec)[0]]
+        spec = ModelSpec(variant, k=k, q=0.5)
+        fast = [extract_growth_sequence(lat, spec) for lat in lats]
+        monkeypatch.setattr(lattice, "_rect_test",
+                            lambda cells, k: functools.partial(_rect_ok, cells, k))
+        assert fast == [extract_growth_sequence(lat, spec) for lat in lats]
+        assert max(len(seq) for seq in fast) > 5
 
 
 class TestSnapshots:
