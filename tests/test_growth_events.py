@@ -1,6 +1,7 @@
 """Tests for the diagonal/skew growth events and their probabilities."""
 
 import functools
+import hashlib
 import math
 from unittest import mock
 
@@ -661,6 +662,30 @@ class TestBatchedTrials:
         res = CaseResult("dk", k, "local", 4, 9, 2, 0)
         _run_case([res], [model], trials.__getitem__, side=1, seeds=range(2))
         assert res.violations == 2
+
+
+class TestTrialGridDigest:
+    def test_trial_grids_are_pinned(self):
+        # the cells of every trial builder over k, q and seed, pinned by one
+        # SHA-256 taken before the samplers read raw Philox words
+        digest = hashlib.sha256()
+
+        def add(lat):
+            digest.update(f"{lat.cells.shape}".encode())
+            digest.update(lat.cells.tobytes())
+
+        for k in (1, 2, 3):
+            chain = EventChain(k, 4 * k + 18, ((k + 2, 2 * k + 5), (2 * k + 7, 3 * k + 10)))
+            for q in (0.3, 0.5, 0.9):
+                for *_, build, _side in growth_events._growth_cases(k, q):
+                    for seed in range(30):
+                        add(build(seed))
+                for background in ("sample", "empty"):
+                    for seed in range(30):
+                        add(sample_conditioned(chain, q, seed, background=background))
+        assert digest.hexdigest() == (
+            "029448a054b8edaac0d85618cf8cd8aed9256189215e95e43ea717df1efe74cc"
+        )
 
 
 class TestChainCaching:
