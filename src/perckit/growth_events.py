@@ -47,13 +47,15 @@ window edge).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .gap_process import GapProcess, rho_exact
+from .rng import PhiloxReader
 from .special_fn import fk_eval
 from .lattice import (
     CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, reference_fixpoint,
@@ -78,8 +80,6 @@ __all__ = [
 Cell = Tuple[int, int]
 
 NONEMPTY, EMPTY, NO_GAP = "nonempty", "empty", "no k-gap"
-# plain ints: numpy stores them into a grid cell faster than IntEnum members
-_EMPTY, _OCCUPIED = int(CellState.EMPTY), int(CellState.OCCUPIED)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,6 @@ class Condition:
     kind: str
     labels: Tuple[int, ...]
     lines: Tuple[Tuple[Cell, ...], ...]
-    # NO_GAP backward tables by (q, k, forced lines), built on first use
-    _gap_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, rule: str, kind: str, labels: Iterable[int], cells_of) -> "Condition":
@@ -107,20 +105,6 @@ class Condition:
     def u(self, q: float) -> np.ndarray:
         """Per-line nonemptiness probabilities 1 - q^{line size}."""
         return 1.0 - np.power(q, np.array([len(line) for line in self.lines], dtype=float))
-
-    def statuses(self, q: float, k: int, forced: Set[int], rng) -> List[bool]:
-        """Each line's nonemptiness: set by the rule, or drawn gap-free for NO_GAP.
-
-        A NO_GAP family's backward table depends on q, k and the forced
-        lines only, so each trial just draws the forward pass.
-        """
-        if self.rule != NO_GAP:
-            return [self.rule == NONEMPTY] * len(self.lines)
-        key = (q, k, frozenset(forced))
-        table = self._gap_tables.get(key)
-        if table is None:
-            table = self._gap_tables[key] = _gap_table(list(self.u(q)), k, forced)
-        return _draw_gap_pattern(table, rng)
 
 
 def _col_cells(label: int, height: int) -> List[Cell]:
@@ -317,6 +301,8 @@ class EventChain:
     k: int
     L: int
     pairs: Tuple[Tuple[int, int], ...]
+    # `sample_conditioned`'s trial plans by q, built on first use
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k, L = self.k, self.L
@@ -395,8 +381,8 @@ def _gap_table(u: Sequence[float], k: int, forced: Set[int]) -> List[List[float]
 
     Backward log-space recurrence S[j][r] = P(suffix j.. gap-free | r
     trailing empties), returned as log P(line j nonempty | r trailing
-    empties) by [j][r]; `_draw_gap_pattern` samples from it.  Indices in
-    `forced` have status True with probability 1.
+    empties) by [j][r]; `_statuses` samples from it.  Indices in `forced`
+    have status True with probability 1.
     """
     n = len(u)
     log_u = [0.0 if i in forced else (math.log(u[i]) if u[i] > 0 else -math.inf) for i in range(n)]
@@ -419,20 +405,71 @@ def _gap_table(u: Sequence[float], k: int, forced: Set[int]) -> List[List[float]
     return [[log_u[j] + suffix[j + 1][0] - s for s in suffix[j]] for j in range(n)]
 
 
-def _draw_gap_pattern(log_p1: List[List[float]], rng) -> List[bool]:
-    """Statuses drawn forward from a `_gap_table`: one `rng.random()` per line."""
+@dataclass(frozen=True)
+class _Plan:
+    """What a trial builder walks, fixed per (chain or geometry, q).
+
+    `steps` holds one (status, table, lines) per condition, in product
+    order.  For NONEMPTY and EMPTY, `status` is every line's status and
+    `table` is None; a NO_GAP family has its `_gap_table`.  Each line is
+    (its free cells as flat indices into a `width` x `width` grid, fixed
+    cells removed; whether a fixed cell makes it nonempty; expm1(n log q)
+    for its n free cells).  `cells` lists every line's free cells in walk
+    order, and the fixed cells are set last.
+    """
+
+    width: int
+    steps: Tuple[Tuple[bool, Optional[List[List[float]]], tuple], ...]
+    cells: np.ndarray
+    lines: int
+    gap_lines: int
+    fixed_cells: np.ndarray
+    fixed_states: np.ndarray
+
+
+def _plan(conditions: Iterable[Condition], k: int, q: float, width: int,
+          fixed: Dict[Cell, int]) -> _Plan:
+    log_q = math.log(q)
+    steps, cells, lines, gap_lines = [], [], 0, 0
+    for cond in conditions:
+        walk = []
+        for line in cond.lines:
+            free = [y * width + x for x, y in line if (x, y) not in fixed]
+            walk.append((free, len(free) < len(line), math.expm1(len(free) * log_q)))
+            cells += free
+        table = None
+        if cond.rule == NO_GAP:
+            forced = {i for i, (_, by_fixed, _) in enumerate(walk) if by_fixed}
+            table = _gap_table(list(cond.u(q)), k, forced)
+            gap_lines += len(walk)
+        steps.append((cond.rule == NONEMPTY, table, tuple(walk)))
+        lines += len(walk)
+    return _Plan(
+        width, tuple(steps), np.array(cells, dtype=np.intp), lines, gap_lines,
+        np.array([y * width + x for x, y in fixed], dtype=np.intp),
+        np.array(list(fixed.values()), dtype=np.uint8),
+    )
+
+
+def _statuses(step, reader: PhiloxReader) -> Iterable[bool]:
+    """A step's line statuses: the rule's, or drawn forward from its gap table.
+
+    The forward pass reads one `random()` per line.
+    """
+    status, table, _ = step
+    if table is None:
+        return itertools.repeat(status)
     out = []
     r = 0
-    for row in log_p1:
-        occur = math.log(max(rng.random(), 1e-300)) < row[r]
+    for row in table:
+        occur = math.log(max(reader.random(), 1e-300)) < row[r]
         out.append(occur)
         r = 0 if occur else r + 1
     return out
 
 
-def _sample_line(grid: np.ndarray, cells: Sequence[Cell], status: bool, q: float, rng,
-                 skip: Container[Cell], already_nonempty: bool) -> None:
-    """Fill the line's cells outside `skip` from their law given the line's status.
+def _fill(plan: _Plan, q: float, reader: PhiloxReader) -> List[bool]:
+    """Whether each cell of `plan.cells` is occupied, from its line's law given the status.
 
     An empty line is cleared.  A nonempty line that a fixed occupied cell
     already makes nonempty draws its free cells i.i.d.  Otherwise the first
@@ -440,22 +477,23 @@ def _sample_line(grid: np.ndarray, cells: Sequence[Cell], status: bool, q: float
     P(j) = q^j (1 - q) / (1 - q^n) by inversion, and the cells after it
     i.i.d.: together, the i.i.d. law given at least one occupied cell.
     """
-    free = [c for c in cells if c not in skip]
-    if not free:
-        return
-    n = len(free)
-    if not status:
-        occupied = [False] * n
-    elif already_nonempty:
-        occupied = (rng.random(n) < 1.0 - q).tolist()
-    else:
-        log_q = math.log(q)
-        # j = floor(log(1 - U (1 - q^n)) / log q), and U < 1 keeps it below n
-        # up to rounding
-        j = min(int(math.log1p(rng.random() * math.expm1(n * log_q)) / log_q), n - 1)
-        occupied = [False] * j + [True] + (rng.random(n - j - 1) < 1.0 - q).tolist()
-    for (x, y), occ in zip(free, occupied):
-        grid[y, x] = _OCCUPIED if occ else _EMPTY
+    p, log_q = 1.0 - q, math.log(q)
+    out: List[bool] = []
+    for step in plan.steps:
+        for (cells, by_fixed, tail), status in zip(step[2], _statuses(step, reader)):
+            n = len(cells)
+            if not status:
+                out += [False] * n
+            elif by_fixed:
+                out += reader.below(p, n)
+            elif n:
+                # j = floor(log(1 - U (1 - q^n)) / log q), and U < 1 keeps it
+                # below n up to rounding
+                j = min(int(math.log1p(reader.random() * tail) / log_q), n - 1)
+                out += [False] * j
+                out.append(True)
+                out += reader.below(p, n - j - 1)
+    return out
 
 
 def sample_conditioned(
@@ -466,36 +504,34 @@ def sample_conditioned(
     Condition by condition (they live on disjoint cells): a no-k-gap family
     gets its line statuses from the exact conditioned pattern recurrence,
     the other conditions fix every line's status, and each line is then
-    filled from its law given that status (`_sample_line`); the block and
-    corner cells are set outright.  `background` controls the unconstrained
+    filled from its law given that status (`_fill`); the block and corner
+    cells are set outright.  `background` controls the unconstrained
     cells: "sample" draws them i.i.d. occupied with probability 1-q (the
     conditional law), "empty" leaves them all empty (the adversarial
-    configuration used by the growth-guarantee checks).
+    configuration used by the growth-guarantee checks).  The draws are
+    those of `Generator(Philox(key=seed))`, read by a `PhiloxReader`.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if background not in ("sample", "empty"):
         raise ValueError("background must be 'sample' or 'empty'")
     L = chain.L
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    if background == "sample":
-        grid = np.where(
-            rng.random((L, L)) < 1.0 - q, np.uint8(CellState.OCCUPIED), np.uint8(CellState.EMPTY)
-        )
+    plan = chain._plans.get(q)
+    if plan is None:
+        conditions = [cond for geom, _ in chain.components() for cond in geom.conditions]
+        fixed = {cell: state for cell, state, _ in chain.fixed_cells()}  # none of them empty
+        plan = chain._plans[q] = _plan(conditions, chain.k, q, L, fixed)
+    # a line reads at most one word per free cell, and one more in a NO_GAP family
+    background_words = L * L if background == "sample" else 0
+    reader = PhiloxReader(seed, background_words + len(plan.cells) + plan.gap_lines)
+    # bytes of bools: a bool stores as 1, CellState.OCCUPIED
+    if background_words:
+        grid = np.frombuffer(bytearray(reader.below(1.0 - q, background_words)), dtype=np.uint8)
     else:
-        grid = np.zeros((L, L), dtype=np.uint8)
-
-    fixed = {cell: state for cell, state, _ in chain.fixed_cells()}  # none of them empty
-    for geom, _ in chain.components():
-        for cond in geom.conditions:
-            forced = {i for i, line in enumerate(cond.lines) if not fixed.keys().isdisjoint(line)}
-            statuses = cond.statuses(q, chain.k, forced, rng)
-            for i, (line, status) in enumerate(zip(cond.lines, statuses)):
-                _sample_line(grid, line, status, q, rng, fixed, i in forced)
-
-    for (x, y), state in fixed.items():
-        grid[y, x] = state
-    return Lattice(cells=grid, origin=(0, 0))
+        grid = np.zeros(L * L, dtype=np.uint8)
+    grid[plan.cells] = np.frombuffer(bytes(_fill(plan, q, reader)), dtype=np.uint8)
+    grid[plan.fixed_cells] = plan.fixed_states
+    return Lattice(cells=grid.reshape(L, L), origin=(0, 0))
 
 
 def validate_chain(lattice: Lattice, chain: EventChain) -> List[str]:
@@ -563,23 +599,28 @@ class GrowthReport:
         return "\n".join(lines)
 
 
-def _adversarial_trial(geom, q: float, side: int, seed: int) -> Lattice:
+def _adversarial_trial(plan: _Plan, side: int, seed: int) -> Lattice:
     """A trial of D_k(a, b) or J_k(a, b) on an empty window, with R(side, side) Active.
 
-    Every nonempty line gets one occupied cell at a random position, the
+    `plan` is the event's `_plan` on its (b+1) x (b+1) window.  Every
+    nonempty line gets one occupied cell at a random position, the
     minimal nonempty line; a no-k-gap family first draws its gap-free line
     statuses.  Any configuration satisfying the event dominates some such
     sparse configuration cell by cell, and the rules are monotone, so
     growth of every sparse sample implies growth of every satisfying
-    configuration with the same line statuses.
+    configuration with the same line statuses.  The draws are those of
+    `Generator(Philox(key=seed))`, read by a `PhiloxReader`.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    grid = np.zeros((geom.b + 1, geom.b + 1), dtype=np.uint8)
-    for cond in geom.conditions:
-        for line, status in zip(cond.lines, cond.statuses(q, geom.k, set(), rng)):
+    # one word per NO_GAP line and per `integers` call, unless Lemire rejects
+    reader = PhiloxReader(seed, plan.gap_lines + plan.lines)
+    hits = []
+    for step in plan.steps:
+        for (cells, _, _), status in zip(step[2], _statuses(step, reader)):
             if status:
-                x, y = line[int(rng.integers(len(line)))]
-                grid[y, x] = CellState.OCCUPIED
+                hits.append(cells[reader.integers(len(cells))])
+    grid = np.zeros(plan.width * plan.width, dtype=np.uint8)
+    grid[hits] = CellState.OCCUPIED
+    grid = grid.reshape(plan.width, plan.width)
     grid[:side, :side] = CellState.ACTIVE
     return Lattice(cells=grid, origin=(0, 0))
 
@@ -593,14 +634,14 @@ def _growth_cases(k: int, q: float) -> list:
     base = max(k, 4)
     cases = []
     for a, b in ((base, base + 5), (base + 2, base + 9)):
-        geom = StairGeometry(k, a, b)
-        build = functools.partial(_adversarial_trial, geom, q, a)
+        plan = _plan(StairGeometry(k, a, b).conditions, k, q, b + 1, {})
+        build = functools.partial(_adversarial_trial, plan, a)
         cases.append(("dk", a, b, 1_000_003, build, b - k + 1))
     # the last pair has b - a = k + 2, the smallest legal skew
     for a, b in ((2 * k + 2, 3 * k + 6), (2 * k + 4, 3 * k + 10), (2 * k + 2, 3 * k + 4)):
-        geom = SkewGeometry(k, a, b)
+        plan = _plan(SkewGeometry(k, a, b).conditions, k, q, b + 1, {})
         for dev in (0, k - 1):
-            build = functools.partial(_adversarial_trial, geom, q, a - dev)
+            build = functools.partial(_adversarial_trial, plan, a - dev)
             cases.append((f"jk[s={dev},t={dev}]", a, b, 7_000_003, build, b))
     L = 4 * k + 18
     for pairs in (((k + 2, 2 * k + 5),), ((k + 3, 2 * k + 6), (2 * k + 8, 3 * k + 11))):

@@ -17,6 +17,7 @@ from perckit.growth_events import (
     NO_GAP,
     NONEMPTY,
     CaseResult,
+    Condition,
     EventChain,
     SkewGeometry,
     StairGeometry,
@@ -27,15 +28,17 @@ from perckit.growth_events import (
     sample_conditioned,
     validate_chain,
     verify_growth_guarantee,
-    _draw_gap_pattern,
+    _fill,
     _gap_table,
+    _plan,
     _run_case,
-    _sample_line,
+    _statuses,
 )
 from perckit.lattice import (
     CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, reference_fixpoint,
     run_to_fixpoint, to_text,
 )
+from perckit.rng import PhiloxReader
 
 E, O, A = CellState.EMPTY, CellState.OCCUPIED, CellState.ACTIVE
 
@@ -331,14 +334,15 @@ class TestConditionedSampling:
 
 
 def _line_draws(n, q, trials, already_nonempty, seed=0):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    cells = [(x, 0) for x in range(n)]
-    grid = np.full((1, n), 7, dtype=np.uint8)
-    out = np.empty((trials, n), dtype=np.uint8)
-    for t in range(trials):
-        _sample_line(grid, cells, True, q, rng, set(), already_nonempty)
-        out[t] = grid[0]
-    return out
+    """`trials` fills of one nonempty line of n free cells, one stream across them.
+
+    With `already_nonempty` the line holds one more cell, a fixed occupied one.
+    """
+    line = tuple((x, 0) for x in range(n + already_nonempty))
+    fixed = {line[-1]: O} if already_nonempty else {}
+    plan = _plan([Condition(NONEMPTY, "row", (1,), (line,))], 1, q, n + 1, fixed)
+    reader = PhiloxReader(seed, trials * n)
+    return np.array([_fill(plan, q, reader) for _ in range(trials)], dtype=np.uint8)
 
 
 class TestSampleLine:
@@ -370,12 +374,17 @@ class TestSampleLine:
         assert (_line_draws(4, 1e-300, 50, already_nonempty=False) == O).all()
 
     def test_empty_status_and_skipped_cells(self):
-        rng = np.random.Generator(np.random.Philox(key=3))
-        grid = np.full((1, 5), O, dtype=np.uint8)
-        _sample_line(grid, [(x, 0) for x in range(5)], False, 0.5, rng, {(2, 0)}, False)
-        assert grid.tolist() == [[E, E, O, E, E]]
-        _sample_line(grid, [(2, 0)], True, 0.5, rng, {(2, 0)}, False)  # nothing left to draw
-        assert grid.tolist() == [[E, E, O, E, E]]
+        reader = PhiloxReader(3, 0)
+        fixed = {(2, 0): O}
+        grid = np.full(5, O, dtype=np.uint8)
+        line = tuple((x, 0) for x in range(5))
+        plan = _plan([Condition(EMPTY, "row", (1,), (line,))], 1, 0.5, 5, fixed)
+        grid[plan.cells] = _fill(plan, 0.5, reader)
+        grid[plan.fixed_cells] = plan.fixed_states
+        assert grid.tolist() == [E, E, O, E, E]
+        plan = _plan([Condition(NONEMPTY, "cell", (3,), (((2, 0),),))], 1, 0.5, 5, fixed)
+        assert _fill(plan, 0.5, reader) == []  # nothing left to draw
+        assert reader.random() == np.random.Generator(np.random.Philox(key=3)).random()
 
 
 class TestGrowthGuarantee:
@@ -404,9 +413,9 @@ class TestGrowthGuarantee:
             assert np.all(fixed.cells[:side, :side] == A)
 
 
-def _gap_pattern(u, k, forced, rng):
+def _gap_pattern(u, k, forced, reader):
     """One draw of the gap-free sampler: the table, then the forward pass."""
-    return _draw_gap_pattern(_gap_table(u, k, forced), rng)
+    return _statuses((True, _gap_table(u, k, forced), ()), reader)
 
 
 def _gap_pattern_numpy(u, k, forced, rng):
@@ -453,8 +462,8 @@ class TestGapPattern:
             u = list(u)
             forced = {int(i) for i in np.flatnonzero(gen.random(n) < 0.1)}
             results = []
-            for sampler in (_gap_pattern, _gap_pattern_numpy):
-                rng = np.random.Generator(np.random.Philox(key=case))
+            for sampler, rng in ((_gap_pattern, PhiloxReader(case, n)),
+                                 (_gap_pattern_numpy, np.random.Generator(np.random.Philox(key=case)))):
                 try:
                     results.append((sampler(u, k, forced, rng), rng.random()))
                 except ValueError as exc:

@@ -27,7 +27,7 @@ from perckit.lattice import (
     reaches_boundary,
     run_to_fixpoint,
 )
-from perckit.rng import derive_seed, splitmix64, trial_generator
+from perckit.rng import PhiloxReader, derive_seed, splitmix64, trial_generator
 from perckit.special_fn import lambda_k
 
 
@@ -64,6 +64,48 @@ class TestRng:
             assert got.integers(1000) == fresh.integers(1000)
             assert np.array_equal(got.random(5), fresh.random(5))
         assert trial_generator(11, 0).random() == np.random.Generator(np.random.Philox(key=11)).random()
+
+    # n = 1 draws nothing; at 3 * 2^30 about a quarter of the 32-bit draws are rejected
+    READER_NS = [1, 2, 3, 7, 1000, 3 * 2**30, 2**32 - 1]
+
+    def test_reader_matches_the_generator(self):
+        gen = np.random.default_rng(2024)
+        for key in [0, 1, 2**32 + 5, 2**64 - 1, 2**128 - 1, *gen.integers(0, 2**63, size=150)]:
+            key = int(key)
+            ref = np.random.Generator(np.random.Philox(key=key))
+            reader = PhiloxReader(key, int(gen.integers(0, 40)))
+            for op in gen.integers(-2, len(self.READER_NS), size=120):
+                if op == -2:
+                    assert reader.random() == ref.random()
+                elif op == -1:
+                    m, p = int(gen.integers(0, 9)), float(gen.random())
+                    assert reader.below(p, m) == (ref.random(m) < p).tolist()
+                else:
+                    n = self.READER_NS[op]
+                    assert reader.integers(n) == int(ref.integers(n))
+            assert reader.random() == ref.random()
+
+    def test_reader_rejections_follow_the_generator(self):
+        # 3 * 2^30 rejects about a quarter of the draws, so a block of 8
+        # words is topped up many times over 400 calls
+        ref = np.random.Generator(np.random.Philox(key=77))
+        reader = PhiloxReader(77, 8)
+        assert [reader.integers(3 * 2**30) for _ in range(400)] == ref.integers(
+            3 * 2**30, size=400).tolist()
+        assert reader.integers(5) == ref.integers(5)  # the same buffered half, if any
+        assert reader.random() == ref.random()
+
+    def test_reader_tops_up_past_its_block(self):
+        ref = np.random.Generator(np.random.Philox(key=9))
+        reader = PhiloxReader(9, 3)
+        assert reader.below(0.5, 5) == (ref.random(5) < 0.5).tolist()
+        assert [reader.random() for _ in range(10)] == ref.random(10).tolist()
+        assert reader.integers(2**32 - 1) == ref.integers(2**32 - 1)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40])
+    def test_reader_refuses_n_outside_32_bits(self, n):
+        with pytest.raises(ValueError):
+            PhiloxReader(1, 4).integers(n)
 
 
 class TestConfig:
