@@ -95,6 +95,15 @@ class TestRng:
         assert reader.integers(5) == ref.integers(5)  # the same buffered half, if any
         assert reader.random() == ref.random()
 
+    def test_reader_below_at_the_draw(self):
+        # p equal to the draw, and the next float up: below 1/2 that is less
+        # than a step of 2^-53 above it
+        draws = np.random.Generator(np.random.Philox(key=4)).random(40)
+        for step_up, want in ((False, False), (True, True)):
+            reader = PhiloxReader(4, 40)
+            got = [reader.below(np.nextafter(u, 1.0) if step_up else u, 1)[0] for u in draws]
+            assert got == [want] * 40
+
     def test_reader_tops_up_past_its_block(self):
         ref = np.random.Generator(np.random.Philox(key=9))
         reader = PhiloxReader(9, 3)
