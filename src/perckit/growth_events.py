@@ -412,14 +412,14 @@ class _Plan:
     `steps` holds one (status, table, lines) per condition, in product
     order.  For NONEMPTY and EMPTY, `status` is every line's status and
     `table` is None; a NO_GAP family has its `_gap_table`.  Each line is
-    (its free cells as flat indices into a `width` x `width` grid, fixed
-    cells removed; whether a fixed cell makes it nonempty; expm1(n log q)
-    for its n free cells).  `cells` lists every line's free cells in walk
-    order, and the fixed cells are set last.
+    (its cells; n, the number of its cells that are not fixed; whether a
+    fixed cell makes it nonempty; expm1(n log q)).  `cells` holds every
+    line's free cells in walk order, as flat indices into a `width` x
+    `width` grid, and the fixed cells are set last.
     """
 
     width: int
-    steps: Tuple[Tuple[bool, Optional[List[List[float]]], tuple], ...]
+    steps: Tuple[Tuple[bool, Optional[List[List[float]]], Tuple[tuple, ...]], ...]
     cells: np.ndarray
     lines: int
     gap_lines: int
@@ -435,11 +435,11 @@ def _plan(conditions: Iterable[Condition], k: int, q: float, width: int,
         walk = []
         for line in cond.lines:
             free = [y * width + x for x, y in line if (x, y) not in fixed]
-            walk.append((free, len(free) < len(line), math.expm1(len(free) * log_q)))
+            walk.append((line, len(free), len(free) < len(line), math.expm1(len(free) * log_q)))
             cells += free
         table = None
         if cond.rule == NO_GAP:
-            forced = {i for i, (_, by_fixed, _) in enumerate(walk) if by_fixed}
+            forced = {i for i, (_, _, by_fixed, _) in enumerate(walk) if by_fixed}
             table = _gap_table(list(cond.u(q)), k, forced)
             gap_lines += len(walk)
         steps.append((cond.rule == NONEMPTY, table, tuple(walk)))
@@ -480,8 +480,7 @@ def _fill(plan: _Plan, q: float, reader: PhiloxReader) -> List[bool]:
     p, log_q = 1.0 - q, math.log(q)
     out: List[bool] = []
     for step in plan.steps:
-        for (cells, by_fixed, tail), status in zip(step[2], _statuses(step, reader)):
-            n = len(cells)
+        for (_, n, by_fixed, tail), status in zip(step[2], _statuses(step, reader)):
             if not status:
                 out += [False] * n
             elif by_fixed:
@@ -615,9 +614,10 @@ def _adversarial_trial(plan: _Plan, side: int, seed: int) -> Lattice:
     reader = PhiloxReader(seed, plan.gap_lines + plan.lines)
     hits = []
     for step in plan.steps:
-        for (cells, _, _), status in zip(step[2], _statuses(step, reader)):
+        for (line, _, _, _), status in zip(step[2], _statuses(step, reader)):
             if status:
-                hits.append(cells[reader.integers(len(cells))])
+                x, y = line[reader.integers(len(line))]
+                hits.append(y * plan.width + x)
     grid = np.zeros(plan.width * plan.width, dtype=np.uint8)
     grid[hits] = CellState.OCCUPIED
     grid = grid.reshape(plan.width, plan.width)
