@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .rng import trial_generator
-from .special_fn import fk_eval, gk_eval, lambda_k
+from .special_fn import fk_eval, lambda_k
 
 __all__ = [
     "GapProcess",
@@ -83,8 +82,6 @@ _TINY = 2.0**-1022
 _MIN_BLOCK = 16
 # `prob_ak` runs `rho_exact` below this many terms, where it is faster.
 _BLOCKED_FROM = 1024
-# `prob_ak` sums its tail this many points per gk_eval call.
-_TAIL_CHUNK = 16384
 
 
 class MonotonicityError(ValueError):
@@ -169,11 +166,9 @@ class GapProcess:
         if self.is_parametric:
             return "increasing"
         u = self.probabilities(n if n is not None else len(self.u))
-        inc = bool(np.all(u[1:] >= u[:-1]))
-        dec = bool(np.all(u[1:] <= u[:-1]))
-        if inc:
+        if np.all(u[1:] >= u[:-1]):
             return "increasing"
-        if dec:
+        if np.all(u[1:] <= u[:-1]):
             return "decreasing"
         return "neither"
 
@@ -281,7 +276,6 @@ def rho_sandwich(process: GapProcess, n: int) -> SandwichBounds:
     needs u increasing.  Violations raise MonotonicityError naming the
     bound that loses its guarantee.
     """
-    k = process.k
     mono = process.monotonicity(n)
     if mono == "neither":
         raise MonotonicityError(
@@ -320,13 +314,6 @@ def _sandwich_unchecked(process: GapProcess, n: int) -> SandwichBounds:
         log_lower=log_lower,
         log_upper=log_upper,
     )
-
-
-@lru_cache(maxsize=None)
-def _tail_constant_ok(k: int) -> bool:
-    # g_k(z) <= 2 e^{-kz} for z >= 1, checked once per k on a dense grid
-    z = np.linspace(1.0, 40.0 / k + 1.0, 400)
-    return bool(np.all(gk_eval(k, z) <= 2.0 * np.exp(-k * z)))
 
 
 @dataclass(frozen=True)
@@ -512,6 +499,15 @@ def _blocked_rounding_bound(k: int, s: float, n: int) -> float:
     return 1.001 * _EPS * (tables + arith)
 
 
+def _tail_bound(k: int, s: float, n: int) -> float:
+    """The closed-form bound on sum_{j>n} g_k(js) of `prob_ak`; needs (n + 1) s > 1."""
+    t = s * (n + 1)
+    x_k = math.exp(-k * t)  # x^k at x = e^{-(n+1)s}
+    h_first = x_k * -math.expm1(-t)
+    sum_h = x_k / -math.expm1(-k * s) - x_k * math.exp(-t) / -math.expm1(-(k + 1) * s)
+    return (1.0 + 2.0**-40) * sum_h / (1.0 - 2.72 * h_first) ** (k + 1)
+
+
 def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) -> PakResult:
     """Bracket P(A_k) for the parametric family to relative width <= tol.
 
@@ -524,8 +520,20 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     suffix has no gap); the first factor is >= rho_N u_N by the Harris
     inequality (both events increasing), the second is bounded below by the
     f_k product of the suffix.  N is chosen so that the tail sum and the
-    u_N correction each stay under tol/4, using g_k(z) <= 2 e^{-kz} for
-    z >= 1 (verified numerically per k).
+    u_N correction each stay under tol/4, sized by g_k(z) <= 2 e^{-kz} (a
+    sizing rule only).  The tail is bounded in closed form (`_tail_bound`).
+    Lemma: N >= fl(1/s), so every j > N has js > 1 and x = e^{-js} < 1/e <
+    k/(k+1).  By the f_k equation (Holroyd-Liggett-Romik 2004),
+    u = 1 - f_k(x) lies in (0, 1/(k+1)] and solves u (1 - u)^k = h =
+    x^k (1 - x); (1 - u)^k >= (k/(k+1))^k > 1/e gives u < e h < 2.72 h <
+    0.64, so g_k(js) = -log(1 - u) <= u/(1 - u) = h/(1 - u)^{k+1} <=
+    h/(1 - 2.72 h)^{k+1}.  h falls with j, so the tail is at most
+    sum_{j>N} h_j / (1 - 2.72 h_{N+1})^{k+1}, and that sum is exactly
+    e^{-ks(N+1)}/(1 - e^{-ks}) - e^{-(k+1)s(N+1)}/(1 - e^{-(k+1)s}), whose
+    second term is below 1/e times the first (about two bits lost).  Each
+    exp argument is within 2 eps relative, so while e^{-ks(N+1)} is normal
+    the float closed form is within a few thousand eps, inside its factor
+    1 + 2^-40; past that the tail is far inside the 2^-50 below.
 
     The recurrence runs on block products (`_log_rho_blocked`) from
     _BLOCKED_FROM terms on, when their rounding bound R =
@@ -541,8 +549,8 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     If `rho_exact`'s R exceeds tol/4 where it has to run, the bracket cannot
     meet the tolerance and a ValueError says so, as it does when N exceeds
     max_terms; so does a half-width that the outward rounding pushes past
-    tol/2 (possible only with R near tol/4).  The reported midpoint and half-width contain the
-    bracket exactly.
+    tol/2 (possible only with R near tol/4).  The reported midpoint and
+    half-width contain the bracket exactly.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -550,8 +558,6 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
         raise ValueError("s must be positive and finite")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    if not _tail_constant_ok(k):
-        raise ArithmeticError(f"tail bound g_{k}(z) <= 2 e^(-kz) failed verification")
 
     ks = k * s
     # 2 e^{-ks(N+1)} / (1 - e^{-ks}) <= tol/4
@@ -573,16 +579,7 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
             )
         log_rho_n = rho_exact(GapProcess.parametric(k, s), n).log_final
 
-    # tail sum, overestimated (only lowers the lower bracket): numeric part
-    # to M, _TAIL_CHUNK points per gk_eval call, then the geometric
-    # remainder bound
-    m_stop = n + int(math.ceil(45.0 / ks)) + 1
-    tail = 0.0
-    for lo in range(n + 1, m_stop + 1, _TAIL_CHUNK):
-        j = np.arange(lo, min(lo + _TAIL_CHUNK, m_stop + 1), dtype=float)
-        tail += float(np.sum(gk_eval(k, j * s)))
-    tail += 2.0 * math.exp(-ks * (m_stop + 1)) / -math.expm1(-ks)
-
+    tail = _tail_bound(k, s, n)  # overestimated: it only lowers the lower end
     log_un = float(np.log(-np.expm1(-n * s)))
     outward = rounding + 8.0 * math.ulp(abs(log_rho_n)) + 2.0**-50
     log_lower = log_rho_n + log_un - tail - outward
@@ -634,9 +631,7 @@ def rho_montecarlo(process: GapProcess, n: int, trials: int, seed: int) -> tuple
     k = process.k
     u = process.probabilities(n)
     count = 0
-    done = 0
-    chunk = 0
-    while done < trials:
+    for chunk, done in enumerate(range(0, trials, _MC_CHUNK)):
         take = min(_MC_CHUNK, trials - done)
         rng = trial_generator(seed, chunk)
         draws = rng.random((take, n)) if n else np.zeros((take, 0))
@@ -647,8 +642,6 @@ def rho_montecarlo(process: GapProcess, n: int, trials: int, seed: int) -> tuple
             run = np.where(fail[:, j], run + 1, 0)
             gap |= run >= k
         count += int(np.sum(~gap))
-        done += take
-        chunk += 1
     est = count / trials
     return est, math.sqrt(est * (1.0 - est) / trials)
 

@@ -48,11 +48,12 @@ def trial_generator(point_seed: int, trial: int) -> np.random.Generator:
     every call: its state is set to that key and counter, with an empty
     buffer.
 
-    The result is shared, not owned: the next call, from anywhere, resets
-    it, and a generator still held from an earlier call silently restarts
-    on the new stream.  Draw all of one trial before asking for the next,
-    with no call in between that may reach `trial_generator`.  A stream
-    that must outlive the next call needs a `Philox` of its own.
+    The result is shared, not owned, and so is a `PhiloxReader`, which reads
+    it: the next call of either, from anywhere, resets it, and a generator
+    (or a reader's top-up) from an earlier call silently restarts on the
+    new stream.  Draw all of one trial before asking for the next, with no
+    call in between that may reach either.  A stream that must outlive the
+    next call needs a `Philox` of its own.
     """
     key = operator.index(point_seed)
     if not 0 <= key < 1 << 128:
@@ -80,7 +81,8 @@ class PhiloxReader:
     `random()` and `integers(n)` return what the `Generator` methods of the
     same name return, in the same order, from one `random_raw(bound)`
     block; a trial that needs more (a rejection in `integers`) tops the
-    block up from the same stream.  As in numpy:
+    block up from the same stream, that of `trial_generator(seed, 0)`
+    (shared, not owned: see there).  As in numpy:
     - `random()` is the top 53 bits of the next word, times 2^-53;
     - `integers(n)` is Lemire's method on 32-bit halves, low half first,
       the high half kept for the next `integers` call (`random()` leaves it
@@ -91,7 +93,7 @@ class PhiloxReader:
     __slots__ = ("_bitgen", "_words", "_pos", "_half")
 
     def __init__(self, seed: int, bound: int):
-        self._bitgen = np.random.Philox(key=seed)
+        self._bitgen = trial_generator(seed, 0).bit_generator
         self._words = self._bitgen.random_raw(bound).tolist()
         self._pos = 0
         self._half = None

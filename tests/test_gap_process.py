@@ -1,5 +1,6 @@
 """Tests for no-k-gap probabilities: recurrence, bounds, P(A_k)."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -16,6 +17,7 @@ from perckit.gap_process import (
     _block_length,
     _blocked_rounding_bound,
     _log_rho_blocked,
+    _tail_bound,
     MonotonicityError,
     lower_bound_conjecture_gap,
     prob_ak,
@@ -105,6 +107,57 @@ def _exact_log_pak(k, s):
                     - _log_euler_mp(2 * s) + _log_chi_mp(s))
         rows = json.loads(_REFERENCE.read_text())["log_pak"]
         return next(mp.mpf(r["value"]) for r in rows if r["k"] == k and r["s"] == float(s))
+
+
+def _tail_direct_mp(k, s, n):
+    """sum_{j>n} g_k(js) term by term in 40 digits, independent of `special_fn`.
+
+    g_k(js) = -log(1 - u), with u = h / (1 - u)^k iterated from u = h,
+    where h = x^k (1 - x) and x = e^{-js} < k/(k+1).
+    """
+    with mp.workdps(40):
+        q = mp.exp(-mp.mpf(s))
+        x = q ** (n + 1)
+        total = mp.mpf(0)
+        while True:
+            h = x**k * (1 - x)
+            u, prev = h, mp.mpf(0)
+            while abs(u - prev) > mp.eps * u:
+                u, prev = h / (1 - u) ** k, u
+            term = -mp.log1p(-u)
+            total += term
+            if term < mp.mpf(10) ** -45 * total:
+                return total
+            x *= q
+
+
+def _tail_series_mp(k, s, n):
+    """sum_{j>n} g_k(js) from the Lagrange series g_k = sum_m C((k+1)m-1, m-1)/m h^m.
+
+    Each sum_j h_j^m is closed: the binomial expansion of x^{km} (1 - x)^m
+    gives geometric series.  80 digits absorb their cancellation.
+    """
+    with mp.workdps(80):
+        s = mp.mpf(s)
+        t = s * (n + 1)
+        total = mp.mpf(0)
+        m = 1
+        while True:
+            power_sum = mp.fsum(
+                mp.binomial(m, i) * (-1) ** i * mp.exp(-(k * m + i) * t) / -mp.expm1(-(k * m + i) * s)
+                for i in range(m + 1)
+            )
+            term = mp.binomial((k + 1) * m - 1, m - 1) / m * power_sum
+            total += term
+            if abs(term) < mp.mpf(10) ** -45 * total:
+                return total
+            m += 1
+
+
+# k = 1 is where the closed-form tail has the most slack: (k+1) e h_{N+1} relative
+_TAIL_POINTS = [(k, s, 1e-8) for k, s in _BENCH_POINTS] + [
+    (1, s, tol) for s in (0.9, 0.2, 0.05) for tol in (1e-6, 1e-4)
+]
 
 
 class TestGapProcess:
@@ -451,6 +504,32 @@ class TestProbAk:
             assert mid - half <= mp.mpf(res.log_lower) <= exact
             assert exact <= mp.mpf(res.log_upper) <= mid + half
         assert 0.0 < res.error_bound <= tol / 2
+
+    def test_bench_points_digest(self):
+        # pinned before the tail sum became a closed form; every field, every digit
+        rows = []
+        for k, s in _BENCH_POINTS:
+            r = prob_ak(k, s, 1e-8)
+            rows.append(repr((r.value, r.log_value, r.error_bound, r.log_lower, r.log_upper, r.n_terms)))
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == "5eeb83b6ecc5e26a55b2291b2c89b0d00a5cc4ad872b12de0f4874419c4ad2d8"
+
+    @pytest.mark.parametrize("k,s,tol", _TAIL_POINTS)
+    def test_closed_tail_bounds_the_sum(self, k, s, tol):
+        n = prob_ak(k, s, tol).n_terms
+        with mp.workdps(40):
+            t = mp.mpf(s) * (n + 1)
+            assert t > 1  # the lemma's premise: every x = e^{-js} < 1/e
+            x = mp.exp(-t)
+            assert mp.mpf(2.72) * x**k * (1 - x) < 1
+        assert mp.mpf(_tail_bound(k, s, n)) >= _tail_series_mp(k, s, n)
+
+    # the direct sum takes ~100/(ks) terms, too many at s = 1e-4
+    @pytest.mark.parametrize("k,s,tol", _TAIL_POINTS[-6:] + [(2, 0.1, 1e-8), (3, 0.01, 1e-8)])
+    def test_tail_series_matches_iterated_sum(self, k, s, tol):
+        n = prob_ak(k, s, tol).n_terms
+        direct = _tail_direct_mp(k, s, n)
+        assert abs(_tail_series_mp(k, s, n) - direct) <= mp.mpf(10) ** -35 * direct
 
 
 class TestMonteCarlo:
