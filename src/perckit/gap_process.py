@@ -166,9 +166,11 @@ class GapProcess:
         if self.is_parametric:
             return "increasing"
         u = self.probabilities(n if n is not None else len(self.u))
-        if np.all(u[1:] >= u[:-1]):
+        inc = bool(np.all(u[1:] >= u[:-1]))
+        dec = bool(np.all(u[1:] <= u[:-1]))
+        if inc:
             return "increasing"
-        if np.all(u[1:] <= u[:-1]):
+        if dec:
             return "decreasing"
         return "neither"
 
@@ -276,6 +278,7 @@ def rho_sandwich(process: GapProcess, n: int) -> SandwichBounds:
     needs u increasing.  Violations raise MonotonicityError naming the
     bound that loses its guarantee.
     """
+    k = process.k
     mono = process.monotonicity(n)
     if mono == "neither":
         raise MonotonicityError(
@@ -521,18 +524,17 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     inequality (both events increasing), the second is bounded below by the
     f_k product of the suffix.  N is chosen so that the tail sum and the
     u_N correction each stay under tol/4, sized by g_k(z) <= 2 e^{-kz} (a
-    sizing rule only).  The tail is bounded in closed form (`_tail_bound`).
+    sizing rule only); `_tail_bound` bounds the tail in closed form.
     Lemma: N >= fl(1/s), so every j > N has js > 1 and x = e^{-js} < 1/e <
     k/(k+1).  By the f_k equation (Holroyd-Liggett-Romik 2004),
-    u = 1 - f_k(x) lies in (0, 1/(k+1)] and solves u (1 - u)^k = h =
-    x^k (1 - x); (1 - u)^k >= (k/(k+1))^k > 1/e gives u < e h < 2.72 h <
-    0.64, so g_k(js) = -log(1 - u) <= u/(1 - u) = h/(1 - u)^{k+1} <=
-    h/(1 - 2.72 h)^{k+1}.  h falls with j, so the tail is at most
-    sum_{j>N} h_j / (1 - 2.72 h_{N+1})^{k+1}, and that sum is exactly
-    e^{-ks(N+1)}/(1 - e^{-ks}) - e^{-(k+1)s(N+1)}/(1 - e^{-(k+1)s}), whose
-    second term is below 1/e times the first (about two bits lost).  Each
-    exp argument is within 2 eps relative, so while e^{-ks(N+1)} is normal
-    the float closed form is within a few thousand eps, inside its factor
+    u = 1 - f_k(x) lies in (0, 1/(k+1)] and solves u (1 - u)^k = h = x^k (1 - x);
+    (1 - u)^k >= (k/(k+1))^k > 1/e gives u < e h < 2.72 h < 0.64, so
+    g_k(js) = -log(1 - u) <= u/(1 - u) = h/(1 - u)^{k+1} <= h/(1 - 2.72 h)^{k+1}.
+    h falls with j, so the tail is at most sum_{j>N} h_j / (1 - 2.72 h_{N+1})^{k+1},
+    and sum_{j>N} h_j = e^{-ks(N+1)}/(1 - e^{-ks}) - e^{-(k+1)s(N+1)}/(1 - e^{-(k+1)s})
+    exactly, the second term below 1/e times the first (about two bits lost).
+    The exp arguments are within 2 eps, so while e^{-ks(N+1)} is normal the
+    float closed form is within a few thousand eps, inside its factor
     1 + 2^-40; past that the tail is far inside the 2^-50 below.
 
     The recurrence runs on block products (`_log_rho_blocked`) from
@@ -549,8 +551,8 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
     If `rho_exact`'s R exceeds tol/4 where it has to run, the bracket cannot
     meet the tolerance and a ValueError says so, as it does when N exceeds
     max_terms; so does a half-width that the outward rounding pushes past
-    tol/2 (possible only with R near tol/4).  The reported midpoint and
-    half-width contain the bracket exactly.
+    tol/2 (possible only with R near tol/4).  The reported midpoint and half-width contain the
+    bracket exactly.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -631,7 +633,9 @@ def rho_montecarlo(process: GapProcess, n: int, trials: int, seed: int) -> tuple
     k = process.k
     u = process.probabilities(n)
     count = 0
-    for chunk, done in enumerate(range(0, trials, _MC_CHUNK)):
+    done = 0
+    chunk = 0
+    while done < trials:
         take = min(_MC_CHUNK, trials - done)
         rng = trial_generator(seed, chunk)
         draws = rng.random((take, n)) if n else np.zeros((take, 0))
@@ -642,6 +646,8 @@ def rho_montecarlo(process: GapProcess, n: int, trials: int, seed: int) -> tuple
             run = np.where(fail[:, j], run + 1, 0)
             gap |= run >= k
         count += int(np.sum(~gap))
+        done += take
+        chunk += 1
     est = count / trials
     return est, math.sqrt(est * (1.0 - est) / trials)
 

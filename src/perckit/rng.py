@@ -48,12 +48,11 @@ def trial_generator(point_seed: int, trial: int) -> np.random.Generator:
     every call: its state is set to that key and counter, with an empty
     buffer.
 
-    The result is shared, not owned, and so is a `PhiloxReader`, which reads
-    it: the next call of either, from anywhere, resets it, and a generator
-    (or a reader's top-up) from an earlier call silently restarts on the
-    new stream.  Draw all of one trial before asking for the next, with no
-    call in between that may reach either.  A stream that must outlive the
-    next call needs a `Philox` of its own.
+    The result is shared, not owned, also by a `PhiloxReader`: the next call
+    of either, from anywhere, resets it, and a generator or reader from an
+    earlier call silently restarts on the new stream.  Draw all of one trial
+    before asking for the next, with no call in between that may reach
+    either.  A stream that must outlive the next call needs its own `Philox`.
     """
     key = operator.index(point_seed)
     if not 0 <= key < 1 << 128:
@@ -81,8 +80,7 @@ class PhiloxReader:
     `random()` and `integers(n)` return what the `Generator` methods of the
     same name return, in the same order, from one `random_raw(bound)`
     block; a trial that needs more (a rejection in `integers`) tops the
-    block up from the same stream, that of `trial_generator(seed, 0)`
-    (shared, not owned: see there).  As in numpy:
+    block up from the same stream (shared: see `trial_generator`).  As in numpy:
     - `random()` is the top 53 bits of the next word, times 2^-53;
     - `integers(n)` is Lemire's method on 32-bit halves, low half first,
       the high half kept for the next `integers` call (`random()` leaves it
