@@ -514,6 +514,11 @@ def sample_conditioned(
         raise ValueError("q must lie in (0, 1)")
     if background not in ("sample", "empty"):
         raise ValueError("background must be 'sample' or 'empty'")
+    return Lattice(cells=_conditioned_cells(chain, q, seed, background), origin=(0, 0))
+
+
+def _conditioned_cells(chain: EventChain, q: float, seed: int, background: str) -> np.ndarray:
+    """The uint8 cells of `sample_conditioned`, whose arguments are taken as valid."""
     L = chain.L
     plan = chain._plans.get(q)
     if plan is None:
@@ -530,7 +535,7 @@ def sample_conditioned(
         grid = np.zeros(L * L, dtype=np.uint8)
     grid[plan.cells] = np.frombuffer(bytes(_fill(plan, q, reader)), dtype=np.uint8)
     grid[plan.fixed_cells] = plan.fixed_states
-    return Lattice(cells=grid.reshape(L, L), origin=(0, 0))
+    return grid.reshape(L, L)
 
 
 def validate_chain(lattice: Lattice, chain: EventChain) -> List[str]:
@@ -598,8 +603,8 @@ class GrowthReport:
         return "\n".join(lines)
 
 
-def _adversarial_trial(plan: _Plan, side: int, seed: int) -> Lattice:
-    """A trial of D_k(a, b) or J_k(a, b) on an empty window, with R(side, side) Active.
+def _adversarial_trial(plan: _Plan, side: int, seed: int) -> np.ndarray:
+    """The uint8 cells of a D_k(a, b) or J_k(a, b) trial: an empty window, R(side, side) Active.
 
     `plan` is the event's `_plan` on its (b+1) x (b+1) window.  Every
     nonempty line gets one occupied cell at a random position, the
@@ -622,7 +627,7 @@ def _adversarial_trial(plan: _Plan, side: int, seed: int) -> Lattice:
     grid[hits] = CellState.OCCUPIED
     grid = grid.reshape(plan.width, plan.width)
     grid[:side, :side] = CellState.ACTIVE
-    return Lattice(cells=grid, origin=(0, 0))
+    return grid
 
 
 def _growth_cases(k: int, q: float) -> list:
@@ -646,7 +651,7 @@ def _growth_cases(k: int, q: float) -> list:
     L = 4 * k + 18
     for pairs in (((k + 2, 2 * k + 5),), ((k + 3, 2 * k + 6), (2 * k + 8, 3 * k + 11))):
         chain = EventChain(k, L, pairs)
-        build = functools.partial(sample_conditioned, chain, q, background="empty")
+        build = functools.partial(_conditioned_cells, chain, q, background="empty")
         cases.append(("ek", pairs[0][0], pairs[-1][1], 13_000_003, build, L - 1))
     return cases
 
@@ -656,12 +661,14 @@ _BOARD_TRIALS = 128
 
 
 def _run_case(results: List[CaseResult], models: List[ModelSpec],
-              build: Callable[[int], Lattice], side: int, seeds: Iterable[int]) -> None:
+              build: Callable[[int], np.ndarray], side: int, seeds: Iterable[int]) -> None:
     """Count, per model, the trials whose closure leaves R(side, side) short of Active.
 
-    Each trial configuration is built once, in seed order, and decided
-    under every model, `results[i]` counting for `models[i]`.  The trials
-    run `_BOARD_TRIALS` at a time on one board (`_run_board`).
+    Each trial configuration, a 2-D uint8 grid of CellState values, is
+    built once, in seed order, and decided under every model, `results[i]`
+    counting for `models[i]`.  The trials run `_BOARD_TRIALS` at a time on
+    one board (`_run_board`), which wraps a grid in a `Lattice` only to
+    re-run it through the oracle.
     """
     seeds = list(seeds)
     for first in range(0, len(seeds), _BOARD_TRIALS):
@@ -669,7 +676,7 @@ def _run_case(results: List[CaseResult], models: List[ModelSpec],
 
 
 def _run_board(results: List[CaseResult], models: List[ModelSpec],
-               build: Callable[[int], Lattice], side: int, seeds: List[int]) -> None:
+               build: Callable[[int], np.ndarray], side: int, seeds: List[int]) -> None:
     """`_run_case` on one board, each trial in its own window.
 
     The windows are rectangles laid side by side, top-aligned, with k (the
@@ -688,14 +695,14 @@ def _run_board(results: List[CaseResult], models: List[ModelSpec],
     alone through `reference_fixpoint`, the naive oracle, which gives the
     counterexample snapshot and cross-checks the verdict.
     """
-    lattices = [build(seed) for seed in seeds]
+    grids = [build(seed) for seed in seeds]
     gap = max(model.k for model in models)
-    lefts = np.cumsum([0] + [lat.width + gap for lat in lattices[:-1]]).tolist()
-    height, width = max(lat.height for lat in lattices), lefts[-1] + lattices[-1].width
+    lefts = np.cumsum([0] + [grid.shape[1] + gap for grid in grids[:-1]]).tolist()
+    height, width = max(grid.shape[0] for grid in grids), lefts[-1] + grids[-1].shape[1]
     cells = np.zeros((height, width), dtype=np.uint8)
-    for lat, x in zip(lattices, lefts):
-        cells[:lat.height, x:x + lat.width] = lat.cells
-    fits = [side <= min(lat.width, lat.height) for lat in lattices]
+    for grid, x in zip(grids, lefts):
+        cells[:grid.shape[0], x:x + grid.shape[1]] = grid
+    fits = [side <= min(grid.shape) for grid in grids]
     square = sum(((1 << side) - 1) << (y * width) for y in range(side))  # R(side, side)
     target = sum(square << x for x, fit in zip(lefts, fits) if fit)
     boards = (pack_board(cells == CellState.ACTIVE), pack_board(cells == CellState.OCCUPIED))
@@ -704,11 +711,11 @@ def _run_board(results: List[CaseResult], models: List[ModelSpec],
         active, _ = bitboard_closure(model, width, height, *boards,
                                      stop=lambda board: board & target == target)
         filled.append(unpack_board(active, (height, width)))
-    for seed, lat, x, fit in zip(seeds, lattices, lefts, fits):
+    for seed, grid, x, fit in zip(seeds, grids, lefts, fits):
         for res, model, active in zip(results, models, filled):
             if fit and active[:side, x:x + side].all():
                 continue
-            fixed, _ = reference_fixpoint(lat, model)
+            fixed, _ = reference_fixpoint(Lattice(cells=grid), model)
             if fit and np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
                 raise AssertionError(
                     f"bitboard closure and reference_fixpoint disagree on {res.kind} seed {seed}"

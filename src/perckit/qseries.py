@@ -8,6 +8,8 @@ infinite product (q^m;q^m)_inf in O(N^1.5) through Euler's pentagonal
 series.  `IntSeries` keeps the dense schoolbook multiplication (which
 truncates, never silently extends the order) and power-series inversion
 for unit constant term; the tests use them as the oracle of the kernels.
+`partition_no_ksequences` counts p_k(n) by a run-length DP on packed
+integers that shares no code with the kernels, so that it can check them.
 
 The headline identities:
 
@@ -180,44 +182,56 @@ def partition_count(n_max: int) -> PartitionTable:
     return PartitionTable(k=0, values=tuple(p))
 
 
-def _sum_rows(rows: List[List[int]]) -> List[int]:
-    """Elementwise sum of equal-length rows (the first row itself if only one)."""
-    total = rows[0]
-    for row in rows[1:]:
-        total = list(map(add, total, row))
-    return total
-
-
 def partition_no_ksequences(k: int, n_max: int) -> PartitionTable:
     """p_k(0)..p_k(n_max): partitions with no k consecutive integers as parts.
 
-    DP over part values 1..n_max; the state is the length of the current
-    run of consecutive values used (capped at k-1, since reaching k is
-    forbidden).  Within one value v the multiplicity loop is the usual
-    unbounded-knapsack self-reference g[n] = f[n-v] + g[n-v], filled one
-    block of v entries at a time, so the whole table costs O(n_max^2 k)
-    exact-integer additions in C and O(n_max k log n_max) Python steps.
-    It shares no code with the series kernels, which it checks.
+    DP over part values v = 1..n_max.  Row f_r counts the partitions of n
+    into values < v whose run of trailing consecutive used values has
+    length r (r < k, since reaching k is forbidden).  Value v either goes
+    unused, g_0 = sum_r f_r, or is used at least once after a run of r,
+    g_{r+1} = q^v f_r / (1 - q^v) for r < k - 1.
+
+    Each row is packed into one int (Kronecker substitution): the field in
+    bits [nW, (n+1)W) holds coefficient n.  W is a multiple of 8 with
+    2^W > p(n_max), from p(n) < e^{pi sqrt(2n/3)} (Apostol, Thm 14.5) plus
+    2 bits of margin.  Every intermediate field counts a subset of the
+    partitions of some n <= n_max, so it is nonnegative and at most
+    p(n_max): no field ever carries into the next, and the packed adds and
+    shifts are the coefficientwise ones.  The division by 1 - q^v is done
+    by doubling, d += (d << step) & mask with step = vW, 2vW, 4vW, ...,
+    about log2(n_max / v) big-int operations per row and value.
+
+    A run of r consecutive values sums to at least r(r+1)/2, so k is first
+    capped at the smallest k' with k'(k'+1)/2 > n_max; the table is the
+    same.  The DP shares no code with the series kernels, which it checks.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    size = n_max + 1
-    # f[r][n]: partitions of n from values < v with run of trailing
-    # consecutive used values r (r in 0..k-1)
-    f = [[1] + [0] * n_max] + [[0] * size for _ in range(k - 1)]
-    for v in range(1, size):
-        g = [_sum_rows(f)]  # v unused: run resets
-        # v used at least once: run r -> r+1, must stay < k
-        for src in f[: k - 1]:
-            dest = [0] * size
-            for lo in range(v, size, v):
-                hi = min(lo + v, size)
-                dest[lo:hi] = map(add, src[lo - v : hi - v], dest[lo - v : hi - v])
-            g.append(dest)
+    runs = 1
+    while runs * (runs + 1) // 2 <= n_max:
+        runs += 1
+    runs = min(k, runs)
+    width = 8 * math.ceil((math.pi * math.sqrt(2 * n_max / 3) / math.log(2) + 2) / 8)
+    f = [1] + [0] * (runs - 1)
+    for v in range(1, n_max + 1):
+        bits = (n_max - v + 1) * width  # fields 0..n_max - v, before the shift by q^v
+        mask = (1 << bits) - 1
+        g = [sum(f)]  # v unused: run resets
+        for src in f[: runs - 1]:  # v used at least once: run r -> r + 1
+            d = src & mask
+            step = v * width
+            while step < bits:
+                d += (d << step) & mask
+                step *= 2
+            g.append(d << (v * width))
         f = g
-    return PartitionTable(k=k, values=tuple(_sum_rows(f)))
+    nbytes = width // 8
+    packed = sum(f).to_bytes((n_max + 1) * nbytes, "little")
+    return PartitionTable(k=k, values=tuple(
+        int.from_bytes(packed[i : i + nbytes], "little") for i in range(0, len(packed), nbytes)
+    ))
 
 
 # --- sparse in-place kernels -------------------------------------------------

@@ -477,7 +477,7 @@ def _planted_trial(width, height, seed):
     if seed == 3:
         cells[:, width:] = cells[height:, :] = E
     cells[0, 0] = A
-    return Lattice(cells=cells)
+    return cells
 
 
 class TestTrialRunner:
@@ -489,7 +489,7 @@ class TestTrialRunner:
         res = CaseResult("dk", 2, "local", 4, 9, 6, 0)
         _run_case([res], [self.model], build, side=7, seeds=range(6))
         assert res.violations == 1
-        fixed, _, _ = run_to_fixpoint(build(3), self.model)
+        fixed, _, _ = run_to_fixpoint(Lattice(cells=build(3)), self.model)
         assert res.counterexample == to_text(fixed)
         assert res.counterexample.count("A") == width * height
 
@@ -560,14 +560,15 @@ class TestTrialRunner:
             if seed == 4:
                 cells[:, 6:] = cells[6:, :] = E
             cells[0, 0] = A
-            return Lattice(cells=cells)
+            return cells
 
         models = [self.model, ModelSpec(Variant.LOCAL_K, k=3, q=0.5)]
         results = [CaseResult("dk", m.k, "local", 4, 9, 6, 0) for m in models]
         _run_case(results, models, build, side=7, seeds=range(6))
         assert [res.violations for res in results] == [2, 1]
         for res, model, first in zip(results, models, (2, 4)):
-            assert res.counterexample == to_text(run_to_fixpoint(build(first), model)[0])
+            fixed, _, _ = run_to_fixpoint(Lattice(cells=build(first)), model)
+            assert res.counterexample == to_text(fixed)
             single = CaseResult("dk", model.k, "local", 4, 9, 6, 0)
             _run_case([single], [model], build, side=7, seeds=range(6))
             assert res == single
@@ -589,7 +590,7 @@ def _run_case_per_trial(results, models, build, side, seeds):
     into the next row.
     """
     for seed in seeds:
-        lat = build(seed)
+        lat = Lattice(cells=build(seed))
         W, cells = lat.width, lat.cells.reshape(-1)
         fit = side <= min(lat.width, lat.height)
         square = sum(((1 << side) - 1) << (y * W) for y in range(side))  # R(side, side)
@@ -633,7 +634,7 @@ def _trial_batches(draw):
             cells[:, x] = draw(st.sampled_from([O, A]))
         if draw(st.booleans()):
             cells[0, 0] = A
-        trials[seed] = Lattice(cells=cells)
+        trials[seed] = cells
     return models, trials, draw(st.integers(1, 11))
 
 
@@ -667,7 +668,7 @@ class TestBatchedTrials:
         left = np.zeros((4, 4), dtype=np.uint8)
         left[0, 3] = A
         right = np.full((4, 4), O, dtype=np.uint8)
-        trials = [Lattice(cells=left), Lattice(cells=right)]
+        trials = [left, right]
         res = CaseResult("dk", k, "local", 4, 9, 2, 0)
         _run_case([res], [model], trials.__getitem__, side=1, seeds=range(2))
         assert res.violations == 2
@@ -679,9 +680,9 @@ class TestTrialGridDigest:
         # SHA-256 taken before the samplers read raw Philox words
         digest = hashlib.sha256()
 
-        def add(lat):
-            digest.update(f"{lat.cells.shape}".encode())
-            digest.update(lat.cells.tobytes())
+        def add(cells):
+            digest.update(f"{cells.shape}".encode())
+            digest.update(cells.tobytes())
 
         for k in (1, 2, 3):
             chain = EventChain(k, 4 * k + 18, ((k + 2, 2 * k + 5), (2 * k + 7, 3 * k + 10)))
@@ -691,7 +692,7 @@ class TestTrialGridDigest:
                         add(build(seed))
                 for background in ("sample", "empty"):
                     for seed in range(30):
-                        add(sample_conditioned(chain, q, seed, background=background))
+                        add(sample_conditioned(chain, q, seed, background=background).cells)
         assert digest.hexdigest() == (
             "029448a054b8edaac0d85618cf8cd8aed9256189215e95e43ea717df1efe74cc"
         )

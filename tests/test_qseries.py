@@ -43,7 +43,7 @@ def has_k_sequence(parts, k):
 
 
 def partition_no_ksequences_per_element(k, n_max):
-    """The per-element form of the same run-length DP: the reference for the blockwise one."""
+    """The per-element form of the same run-length DP: the reference for the packed one."""
     f = [[0] * (n_max + 1) for _ in range(k)]
     f[0][0] = 1
     for v in range(1, n_max + 1):
@@ -151,12 +151,14 @@ class TestPartitionNoKSequences:
         assert tuple(big.values) == tuple(plain.values)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_blockwise_matches_per_element_dp(self, k):
+    def test_packed_matches_per_element_dp(self, k):
         assert partition_no_ksequences(k, 300).values == partition_no_ksequences_per_element(k, 300)
 
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40, 1200])
     def test_k_above_n_max_is_partition_count(self, n_max):
-        for k in (n_max + 1, n_max + 2, n_max + 5):
+        # n_max = 1200 fills the packed fields most: a field one bit too
+        # narrow would carry and miscount p(n)
+        for k in (n_max + 1, n_max + 2, n_max + 5, 10**6):
             assert partition_no_ksequences(k, n_max).values == partition_count(n_max).values
 
 
