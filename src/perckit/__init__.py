@@ -9,14 +9,13 @@ constructions behind the metastability lower bounds.
 """
 
 from .special_fn import (
-    FkEvaluator,
     fk_eval,
     gk_eval,
     gk_derivative,
     integrate_gk,
     lambda_k,
 )
-from .gap_process import GapProcess, RhoTrace, prob_ak, prob_ak_bounds, rho_exact, rho_sandwich
+from .gap_process import GapProcess, prob_ak, prob_ak_bounds, rho_exact, rho_sandwich
 from .qseries import IntSeries, PartitionTable, andrews_gk_series, mock_theta_chi
 from .lattice import Lattice, ModelSpec, Variant, run_to_fixpoint, sample_initial
 from .growth_events import EventChain, SkewGeometry, StairGeometry
@@ -24,14 +23,12 @@ from .growth_events import EventChain, SkewGeometry, StairGeometry
 __version__ = "1.0.0"
 
 __all__ = [
-    "FkEvaluator",
     "fk_eval",
     "gk_eval",
     "gk_derivative",
     "integrate_gk",
     "lambda_k",
     "GapProcess",
-    "RhoTrace",
     "rho_exact",
     "rho_sandwich",
     "prob_ak",

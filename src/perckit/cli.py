@@ -9,6 +9,7 @@ wall-clock default anywhere).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import growth_events, harness, lattice, qseries
 from .gap_process import GapProcess, prob_ak, rho_exact
+from .rng import trial_generator
 from .special_fn import fk_eval, gk_eval, hk_eval, hk_tilde_eval, lambda_k
 
 
@@ -23,8 +25,8 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _usage_error(exc: ValueError) -> int:
-    """One `error: ...` line on stderr and exit code 2, for input rejected up front."""
+def _usage_error(exc: Exception) -> int:
+    """One `error: ...` line on stderr and exit code 2, for rejected input or an unusable path."""
     print(f"error: {exc}", file=sys.stderr)
     return 2
 
@@ -58,7 +60,7 @@ def _cmd_hk_scan(args):
             raise ValueError("k must be a positive integer")
         if args.samples < 0:
             raise ValueError("samples must be nonnegative")
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        rng = trial_generator(args.seed, 0)
         width = 2 * args.k - 1 if args.tilde else args.k
         fn = hk_tilde_eval if args.tilde else hk_eval
         tuples = np.sort(rng.uniform(0.0, 1.0, (args.samples, width)), axis=1)
@@ -85,10 +87,10 @@ def _cmd_rho(args):
         else:
             process = GapProcess.parametric(args.k, args.s)
             n = args.n
-        trace = rho_exact(process, n)
-    except ValueError as exc:  # bad --k/--s/--n or u values
+        rho = rho_exact(process, n)
+    except (OSError, ValueError) as exc:  # bad --k/--s/--n or u values, unreadable --u-file
         return _usage_error(exc)
-    print(json.dumps({"value": trace.final, "log_value": trace.log_final, "error_bound": 0.0}))
+    print(json.dumps({"value": rho.final, "log_value": rho.log_final, "error_bound": 0.0}))
 
 
 def _cmd_pak(args):
@@ -152,11 +154,14 @@ def _cmd_simulate(args):
         "reaches_boundary": lattice.reaches_boundary(fixed, spec) if converged else None,
     }
     if args.snapshot:
-        if args.snapshot.endswith(".txt"):
-            with open(args.snapshot, "w") as fh:
-                fh.write(lattice.to_text(fixed))
-        else:
-            lattice.write_snapshot(fixed, args.snapshot)
+        try:
+            if args.snapshot.endswith(".txt"):
+                with open(args.snapshot, "w") as fh:
+                    fh.write(lattice.to_text(fixed))
+            else:
+                lattice.write_snapshot(fixed, args.snapshot)
+        except OSError as exc:  # unwritable --snapshot
+            return _usage_error(exc)
         summary["snapshot"] = args.snapshot
     print(json.dumps(summary))
 
@@ -216,11 +221,16 @@ def _cmd_scan(args):
                 output=args.output,
                 format=args.format,
             )
-    except (OSError, ValueError) as exc:  # bad grid or --trials, unreadable --config
+        if config.output:
+            open(config.output, "a").close()  # an unwritable path fails now, not after the scan
+    except (OSError, ValueError) as exc:  # bad grid or --trials, unreadable --config or --output
         return _usage_error(exc)
     results = harness.scan_threshold(config)
     if config.output:
-        harness.write_results(results, config.output, config.format)
+        try:
+            harness.write_results(results, config.output, config.format)
+        except OSError as exc:
+            return _usage_error(exc)
         print(f"wrote {len(results)} rows to {config.output}")
     else:
         sys.stdout.write(harness.results_text(results, config.format))
@@ -241,21 +251,7 @@ def _cmd_sweep_pak(args):
         rows = harness.sweep_pak_bounds(args.k, args.s, args.tol)
     except ValueError as exc:  # bad --k/--s/--tol
         return _usage_error(exc)
-    out = [
-        {
-            "k": r.k,
-            "s": r.s,
-            "value": r.value,
-            "log_value": r.log_value,
-            "error_bound": r.error_bound,
-            "paper_log_lower": r.paper_log_lower,
-            "paper_log_upper": r.paper_log_upper,
-            "inside_lower": r.inside_lower,
-            "ratio_to_upper": r.ratio_to_upper,
-        }
-        for r in rows
-    ]
-    print(json.dumps(out, indent=2))
+    print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
 
 
 def build_parser() -> argparse.ArgumentParser:

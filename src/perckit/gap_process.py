@@ -30,17 +30,17 @@ up to the multiplicative 1+o(1) of the upper bound.  At small s that takes
 N ~ 20/s to 30/s terms, so `prob_ak` runs the same state form as products
 of k x k step matrices: blocks of about sqrt(N) steps built at once in
 numpy, then folded into the state (`_log_rho_blocked`, with its own
-rounding bound).  `rho_exact` stays the engine for explicit sequences and
-for whole traces; `prob_ak` runs it too below 1024 terms, where it is
-faster, where only its smaller rounding bound meets the tolerance, and
-wherever the block products would meet a subnormal number.
+rounding bound).  `rho_exact` stays the engine for explicit sequences;
+`prob_ak` runs it too below 1024 terms, where it is faster, where only its
+smaller rounding bound meets the tolerance, and wherever the block
+products would meet a subnormal number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .special_fn import fk_eval, lambda_k
 
 __all__ = [
     "GapProcess",
-    "RhoTrace",
     "SandwichBounds",
     "PakResult",
     "MonotonicityError",
@@ -68,10 +67,10 @@ __all__ = [
 # Philox sequence, whatever the scheduling).
 _MC_CHUNK = 4096
 
-# rho_exact builds its probability tables and RhoTrace arrays this many
-# indices at a time.  Full-length Python float lists would cost tens of MiB
-# at small s, and even 4096-long chunks left about 1 MiB of freed heap that
-# raised the peak RSS of a later `prob_ak` tail sum.
+# rho_exact builds its probability tables this many indices at a time.
+# Full-length Python float lists would cost tens of MiB at small s, and even
+# 4096-long chunks left about 1 MiB of freed heap that raised the peak RSS
+# of a later `prob_ak` tail sum.
 _TABLE_CHUNK = 1024
 # rho_exact rescales its state by a power of two once rho falls below this.
 _RESCALE_BELOW = 1e-100
@@ -108,7 +107,7 @@ class GapProcess:
             raise ValueError("exactly one of u (explicit) or s (parametric) is required")
         if self.u is not None:
             vals = tuple(float(v) for v in self.u)
-            if any(v < 0.0 or v > 1.0 for v in vals):
+            if not all(0.0 <= v <= 1.0 for v in vals):
                 raise ValueError("all u_i must lie in [0, 1]")
             object.__setattr__(self, "u", vals)
         elif not (math.isfinite(self.s) and self.s > 0):
@@ -154,13 +153,6 @@ class GapProcess:
                 u = self.u[lo:hi]
                 yield u, [1.0 - v for v in u]
 
-    def log_one_minus_u(self, n: int) -> np.ndarray:
-        if self.is_parametric:
-            # 1 - u_i = e^{-i s} exactly
-            return -self.s * np.arange(1, n + 1, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.log1p(-self.probabilities(n))
-
     def monotonicity(self, n: Optional[int] = None) -> str:
         """'increasing', 'decreasing', or 'neither'; ties count as monotone."""
         if self.is_parametric:
@@ -175,66 +167,37 @@ class GapProcess:
         return "neither"
 
 
-@dataclass(frozen=True)
-class RhoTrace:
-    """rho_0..rho_n in linear and log space.
+class RhoResult(NamedTuple):
+    """rho_n and log rho_n, as `rho_exact` returns them."""
 
-    The initial k values are exactly 1; the sequence is nonincreasing.
-    """
-
-    k: int
-    values: np.ndarray
-    log_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "log_values", np.asarray(self.log_values, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
-
-    @property
-    def log_final(self) -> float:
-        return float(self.log_values[-1])
+    final: float
+    log_final: float
 
 
-def rho_exact(process: GapProcess, n: int) -> RhoTrace:
-    """rho_0..rho_n by the k-term recurrence, in linear and log space.
+def rho_exact(process: GapProcess, n: int) -> RhoResult:
+    """rho_n by the k-term recurrence, in linear and log space.
 
     Runs the state form of the module docstring on a scaled state: the true
     a_m[r] is the held value times 2^e.  Whenever rho falls below 1e-100 the
     state is multiplied by the power of two that brings its largest entry
     into [1/2, 1), which is exact (it only scales up), and e keeps the
-    exponent.  Linear values are exact up to float rounding (0 or
-    subnormal once rho underflows); log values stay meaningful long after
-    that.  An exact zero stays exact (log -inf), and rho_0..rho_{k-1} are
-    exactly 1.
+    exponent.  The linear value is exact up to float rounding (0 or
+    subnormal once rho underflows); the log value stays meaningful long
+    after that.  An exact zero stays exact (log -inf), and n < k gives
+    exactly 1.  Memory stays bounded in n: the state holds k floats and the
+    tables come one `_TABLE_CHUNK` at a time.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     k = process.k
-    values = np.empty(n + 1)  # mantissas until the final pass
-    log_values = np.empty(n + 1)
-    exponents = np.empty(n + 1, dtype=np.int32)
     state = [1.0] + [0.0] * (k - 1)
     exponent = 0
-    pos = 0
     shift = range(k - 1, 0, -1)
     for us, vs in process.table_chunks(n):
-        stop = pos + len(us)
-        exponents[pos:stop] = exponent
-        mantissas = []
-        record = mantissas.append
         for u, v in zip(us, vs):
             t = 0.0
             for a in state:
                 t += a
-            record(t)  # rho_{m-1}
             for r in shift:
                 state[r] = v * state[r - 1]
             state[0] = u * t
@@ -243,22 +206,14 @@ def rho_exact(process: GapProcess, n: int) -> RhoTrace:
                 if e:  # 0 only for an all-zero state, which stays zero
                     state = [math.ldexp(a, -e) for a in state]
                     exponent += e
-                    exponents[pos + len(mantissas) : stop] = exponent
-        values[pos:stop] = mantissas
-        pos = stop
+    if n < k:  # after the loop, so that too short an explicit u still raises
+        return RhoResult(1.0, 0.0)
     t = 0.0
     for a in state:
         t += a
-    values[n] = t
-    exponents[n] = exponent
     with np.errstate(divide="ignore"):
-        for lo in range(0, n + 1, _TABLE_CHUNK):
-            part = slice(lo, lo + _TABLE_CHUNK)
-            log_values[part] = np.log(values[part]) + exponents[part] * _LN2
-            values[part] = np.ldexp(values[part], exponents[part])
-    values[:k] = 1.0
-    log_values[:k] = 0.0
-    return RhoTrace(k=k, values=values, log_values=log_values)
+        log_t = float(np.log(t))
+    return RhoResult(math.ldexp(t, exponent), log_t + exponent * _LN2)
 
 
 @dataclass(frozen=True)

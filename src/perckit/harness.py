@@ -267,11 +267,6 @@ class TrendReport:
     slope_window: Tuple[float, float]
     degenerate: bool
 
-    @property
-    def slope_in_window(self) -> bool:
-        lo, hi = self.slope_window
-        return lo <= self.slope <= hi
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 

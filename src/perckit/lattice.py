@@ -54,6 +54,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .rng import trial_generator
+
 __all__ = [
     "CellState",
     "Variant",
@@ -176,14 +178,13 @@ def sample_initial(
     Global: every cell Active with probability 1-q, else Empty.  Localized
     (local variants only): the origin is Active with probability 1-q else
     Empty, every other cell Occupied with probability 1-q else Empty.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed: one draw from `trial_generator(seed, 0)`.
     """
     if width < 1 or height < 1:
         raise ValueError("dimensions must be >= 1")
     if localized and not spec.is_local:
         raise ValueError("localized sampling requires a local model variant")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    nonempty = rng.random((height, width)) < (1.0 - spec.q)
+    nonempty = trial_generator(seed, 0).random((height, width)) < (1.0 - spec.q)
     if origin is None:
         origin = (width // 2, height // 2) if localized else (0, 0)
     ox, oy = origin

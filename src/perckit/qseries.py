@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 __all__ = [
     "IntSeries",
@@ -65,10 +65,6 @@ class IntSeries:
         elif len(c) > self.order + 1:
             c = c[: self.order + 1]
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int], order: int) -> "IntSeries":
-        return cls(coeffs=tuple(coeffs), order=order)
 
     @classmethod
     def one(cls, order: int) -> "IntSeries":

@@ -26,12 +26,10 @@ both regimes get dedicated numerical branches below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FkEvaluator",
     "QuadratureError",
     "fk_eval",
     "gk_eval",
@@ -88,10 +86,10 @@ def fk_eval(k: int, x, tol: float = DEFAULT_ROOT_TOL):
     residual check; bisection itself runs to machine resolution.
     """
     k = _check_k(k)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     x_arr = np.asarray(x, dtype=float)
-    if np.any((x_arr < 0.0) | (x_arr > 1.0)):
+    if not np.all((0.0 <= x_arr) & (x_arr <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
 
     xp = [x_arr**i for i in range(k)]
@@ -268,7 +266,7 @@ def integrate_gk(k: int, tol: float = DEFAULT_INTEGRAL_TOL) -> float:
     from scipy.integrate import quad
 
     k = _check_k(k)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     eps = 1e-8
     z_top = max(50.0 / k, 30.0)
@@ -302,7 +300,7 @@ def tj_eval(k: int, j: int, y, tol: float = DEFAULT_ROOT_TOL):
     if not 1 <= j <= k:
         raise ValueError(f"j must lie in [1, {k}], got {j}")
     y_arr = np.asarray(y, dtype=float)
-    if np.any((y_arr < 0.0) | (y_arr >= 1.0)):
+    if not np.all((0.0 <= y_arr) & (y_arr < 1.0)):
         raise ValueError("y must lie in [0, 1); T_j has a pole at y = 1")
     f = np.asarray(fk_eval(k, y_arr, tol))
     out = (1.0 - y_arr) * y_arr ** (j - 1) / f**j
@@ -315,7 +313,7 @@ def dj_eval(k: int, j: int, y, tol: float = DEFAULT_ROOT_TOL):
     if not 1 <= j <= k:
         raise ValueError(f"j must lie in [1, {k}], got {j}")
     y_arr = np.asarray(y, dtype=float)
-    if np.any((y_arr < 0.0) | (y_arr >= 1.0)):
+    if not np.all((0.0 <= y_arr) & (y_arr < 1.0)):
         raise ValueError("y must lie in [0, 1)")
     f = np.asarray(fk_eval(k, y_arr, tol))
     ratio = y_arr / f
@@ -338,7 +336,7 @@ def _as_tuple_batch(y, width: int):
         raise ValueError("y must be a vector or a batch of vectors")
     if arr.shape[1] != width:
         raise ValueError(f"expected vectors of length {width}, got {arr.shape[1]}")
-    if np.any((arr < 0.0) | (arr > 1.0)):
+    if not np.all((0.0 <= arr) & (arr <= 1.0)):
         raise ValueError("entries must lie in [0, 1]")
     return arr, squeeze
 
@@ -395,48 +393,3 @@ def hk_tilde_eval(k: int, y, tol: float = DEFAULT_ROOT_TOL):
         total += term
     total -= prefix[:, k - 1]
     return float(total[0]) if squeeze else total
-
-
-@dataclass(frozen=True)
-class FkEvaluator:
-    """Precision-controlled evaluator of f_k, g_k and friends for fixed k.
-
-    Immutable; every method is a pure function of its arguments, so a single
-    instance may be shared freely across threads.
-    """
-
-    k: int
-    tol: float = DEFAULT_ROOT_TOL
-
-    def __post_init__(self):
-        _check_k(self.k)
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-
-    def f(self, x):
-        return fk_eval(self.k, x, self.tol)
-
-    def g(self, z):
-        return gk_eval(self.k, z, self.tol)
-
-    def g_prime(self, z):
-        return gk_derivative(self.k, z, self.tol)
-
-    def t_j(self, j, y):
-        return tj_eval(self.k, j, y, self.tol)
-
-    def d_j(self, j, y):
-        return dj_eval(self.k, j, y, self.tol)
-
-    def h(self, y):
-        return hk_eval(self.k, y, self.tol)
-
-    def h_tilde(self, y):
-        return hk_tilde_eval(self.k, y, self.tol)
-
-    @property
-    def lam(self) -> float:
-        return lambda_k(self.k)
-
-    def integral(self, tol: float = DEFAULT_INTEGRAL_TOL) -> float:
-        return integrate_gk(self.k, tol)

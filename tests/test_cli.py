@@ -69,6 +69,7 @@ class TestNumericCommands:
         ["hk-scan", "--k", "2", "--samples", "3", "--seed", "-1"],
         ["hk-scan", "--k", "0", "--samples", "3", "--seed", "1"],
         ["hk-scan", "--k", "2", "--samples", "-1", "--seed", "1"],
+        ["fk", "--k", "2", "--x", "nan"],
     ])
     def test_rejects_bad_input(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -109,10 +110,12 @@ class TestProbabilityCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_rho_rejects_bad_u_file(self, capsys, tmp_path):
-        path = tmp_path / "u.txt"
-        path.write_text("0.5 1.5\n")
-        code, out, err = run_cli(capsys, "rho", "--k", "2", "--u-file", str(path))
-        assert code == 2 and out == "" and err.startswith("error: ")
+        (tmp_path / "range.txt").write_text("0.5 1.5\n")
+        (tmp_path / "nan.txt").write_text("0.5 nan\n")
+        for name in ("range.txt", "nan.txt", "missing.txt"):
+            code, out, err = run_cli(capsys, "rho", "--k", "2", "--u-file", str(tmp_path / name))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_pak(self, capsys):
         code, out, _ = run_cli(capsys, "pak", "--k", "2", "--s", "0.1", "--tol", "1e-8")
@@ -333,6 +336,12 @@ class TestSimulationCommands:
         ["trend", "--k", "2", "--s", "0.5", "0.4", "--trials", "0", "--seed", "1"],
         ["trend", "--k", "1", "--s", "0.5", "0.4", "--trials", "5", "--seed", "1",
          "--model", "local"],
+        ["scan", "--q", "0.5", "--L", "4", "--trials", "2", "--seed", "1",
+         "--output", "no-such-dir/out.csv"],
+        ["simulate", "--model", "local", "--k", "2", "--q", "0.5", "--L", "8", "--seed", "1",
+         "--snapshot", "no-such-dir/snap.bin"],
+        ["simulate", "--model", "local", "--k", "2", "--q", "0.5", "--L", "8", "--seed", "1",
+         "--snapshot", "no-such-dir/snap.txt"],
     ])
     def test_scan_simulate_trend_reject_bad_input(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -29,6 +30,11 @@ from perckit.gap_process import (
     rho_sandwich,
 )
 from perckit.special_fn import fk_eval, lambda_k
+
+
+def rho_prefixes(process, n):
+    """(rho_0..rho_n, log rho_0..log rho_n), one `rho_exact` call per index."""
+    return np.array([rho_exact(process, m) for m in range(n + 1)]).T
 
 
 def rho_bruteforce(k, u):
@@ -196,6 +202,8 @@ class TestGapProcess:
         with pytest.raises(ValueError):
             GapProcess.explicit(2, [1.5])
         with pytest.raises(ValueError):
+            GapProcess.explicit(2, [0.5, math.nan])
+        with pytest.raises(ValueError):
             GapProcess.parametric(2, -1.0)
         with pytest.raises(ValueError):
             GapProcess.explicit(0, [0.5])
@@ -205,8 +213,6 @@ class TestGapProcess:
         u = p.probabilities(3)
         assert u == pytest.approx([1 - math.exp(-0.5), 1 - math.exp(-1.0), 1 - math.exp(-1.5)])
         assert p.monotonicity() == "increasing"
-        # exact log(1-u_i) = -i s
-        assert p.log_one_minus_u(3) == pytest.approx([-0.5, -1.0, -1.5], abs=0)
 
     def test_monotonicity_detection(self):
         assert GapProcess.explicit(2, [0.1, 0.1, 0.3]).monotonicity() == "increasing"
@@ -221,16 +227,16 @@ class TestGapProcess:
 
 class TestRhoExact:
     def test_half_half_half(self):
-        trace = rho_exact(GapProcess.explicit(2, [0.5] * 3), 3)
-        assert trace.values[3] == pytest.approx(5 / 8, abs=1e-15)
-        assert trace.log_values[3] == pytest.approx(math.log(5 / 8), abs=1e-12)
+        rho = rho_exact(GapProcess.explicit(2, [0.5] * 3), 3)
+        assert rho.final == pytest.approx(5 / 8, abs=1e-15)
+        assert rho.log_final == pytest.approx(math.log(5 / 8), abs=1e-12)
 
     def test_initial_values_are_one(self):
-        trace = rho_exact(GapProcess.explicit(3, [0.2, 0.4, 0.6]), 2)
-        assert list(trace.values) == [1.0, 1.0, 1.0]
+        values, _ = rho_prefixes(GapProcess.explicit(3, [0.2, 0.4, 0.6]), 2)
+        assert list(values) == [1.0, 1.0, 1.0]
         # the state sums to 1 - 2^-53 here after three steps; rho_3 is still 1
-        trace = rho_exact(GapProcess.explicit(4, [0.24, 0.54, 0.37]), 3)
-        assert list(trace.values) == [1.0] * 4 and list(trace.log_values) == [0.0] * 4
+        values, logs = rho_prefixes(GapProcess.explicit(4, [0.24, 0.54, 0.37]), 3)
+        assert list(values) == [1.0] * 4 and list(logs) == [0.0] * 4
 
     def test_parametric_tables(self):
         s = 0.5
@@ -244,16 +250,16 @@ class TestRhoExact:
 
     def test_k1_is_product(self):
         u = [0.3, 0.9, 0.5, 0.7]
-        trace = rho_exact(GapProcess.explicit(1, u), 4)
-        assert trace.final == pytest.approx(np.prod(u), rel=1e-14)
+        rho = rho_exact(GapProcess.explicit(1, u), 4)
+        assert rho.final == pytest.approx(np.prod(u), rel=1e-14)
 
     def test_nonincreasing_in_range(self):
         rng = np.random.default_rng(5)
         for k in (1, 2, 3):
             u = rng.uniform(0, 1, 40)
-            trace = rho_exact(GapProcess.explicit(k, u), 40)
-            assert np.all(np.diff(trace.values) <= 1e-15)
-            assert np.all((trace.values >= -1e-15) & (trace.values <= 1.0 + 1e-15))
+            values, _ = rho_prefixes(GapProcess.explicit(k, u), 40)
+            assert np.all(np.diff(values) <= 1e-15)
+            assert np.all((values >= -1e-15) & (values <= 1.0 + 1e-15))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_bruteforce(self, k):
@@ -261,51 +267,62 @@ class TestRhoExact:
         for _ in range(8):
             n = int(rng.integers(k, 13))
             u = rng.uniform(0, 1, n)
-            trace = rho_exact(GapProcess.explicit(k, u), n)
-            assert trace.final == pytest.approx(rho_bruteforce(k, list(u)), abs=1e-12)
+            rho = rho_exact(GapProcess.explicit(k, u), n)
+            assert rho.final == pytest.approx(rho_bruteforce(k, list(u)), abs=1e-12)
 
     def test_log_agrees_with_linear(self):
         rng = np.random.default_rng(6)
         u = rng.uniform(0.05, 0.95, 60)
-        trace = rho_exact(GapProcess.explicit(2, u), 60)
-        assert np.exp(trace.log_values) == pytest.approx(trace.values, rel=1e-10)
+        values, logs = rho_prefixes(GapProcess.explicit(2, u), 60)
+        assert np.exp(logs) == pytest.approx(values, rel=1e-10)
 
     def test_degenerate_probabilities(self):
         # u = 1 forces occurrence, u = 0 forces failure
-        trace = rho_exact(GapProcess.explicit(1, [1.0, 1.0]), 2)
-        assert trace.final == 1.0
-        trace = rho_exact(GapProcess.explicit(1, [1.0, 0.0]), 2)
-        assert trace.final == 0.0
-        assert trace.log_final == -math.inf
-        trace = rho_exact(GapProcess.explicit(2, [0.0, 0.0, 1.0]), 3)
-        assert trace.final == 0.0
+        rho = rho_exact(GapProcess.explicit(1, [1.0, 1.0]), 2)
+        assert rho.final == 1.0
+        rho = rho_exact(GapProcess.explicit(1, [1.0, 0.0]), 2)
+        assert rho.final == 0.0
+        assert rho.log_final == -math.inf
+        rho = rho_exact(GapProcess.explicit(2, [0.0, 0.0, 1.0]), 3)
+        assert rho.final == 0.0
 
     def test_exact_zero_and_one_entries(self):
         # a forced failure run of length k zeroes rho exactly, for good
         u = [0.5, 0.0, 0.0, 1.0, 0.3]
-        trace = rho_exact(GapProcess.explicit(2, u), 5)
-        assert list(trace.values) == [1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
-        assert list(trace.log_values[3:]) == [-math.inf] * 3
+        values, logs = rho_prefixes(GapProcess.explicit(2, u), 5)
+        assert list(values) == [1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
+        assert list(logs[3:]) == [-math.inf] * 3
         # u = 1 resets the failure run: k = 3 never sees three failures
-        trace = rho_exact(GapProcess.explicit(3, u), 5)
-        assert trace.final == pytest.approx(rho_bruteforce(3, u), abs=1e-15)
-        assert trace.final > 0.0
+        rho = rho_exact(GapProcess.explicit(3, u), 5)
+        assert rho.final == pytest.approx(rho_bruteforce(3, u), abs=1e-15)
+        assert rho.final > 0.0
         # zeros after a long run that has been rescaled many times
-        u = [1e-3] * 300 + [0.0] * 3
-        trace = rho_exact(GapProcess.explicit(3, u), len(u))
-        assert trace.final == 0.0 and trace.log_final == -math.inf
-        assert math.isfinite(trace.log_values[300]) and trace.log_values[300] < -600
+        process = GapProcess.explicit(3, [1e-3] * 300 + [0.0] * 3)
+        rho = rho_exact(process, 303)
+        assert rho.final == 0.0 and rho.log_final == -math.inf
+        log_300 = rho_exact(process, 300).log_final
+        assert math.isfinite(log_300) and log_300 < -600
         # only ones: nothing can fail
-        trace = rho_exact(GapProcess.explicit(2, [1.0] * 500), 500)
-        assert np.all(trace.values == 1.0) and np.all(trace.log_values == 0.0)
+        values, logs = rho_prefixes(GapProcess.explicit(2, [1.0] * 500), 500)
+        assert np.all(values == 1.0) and np.all(logs == 0.0)
 
     def test_log_values_below_underflow(self):
         # k = 1: rho_n = prod u_i, far below the smallest double
-        u = [0.01] * 1000
-        trace = rho_exact(GapProcess.explicit(1, u), 1000)
+        values, logs = rho_prefixes(GapProcess.explicit(1, [0.01] * 1000), 1000)
         n = np.arange(1001)
-        assert trace.log_values == pytest.approx(n * math.log(0.01), rel=1e-13)
-        assert trace.values[200] == 0.0 and trace.values[100] == pytest.approx(1e-200, rel=1e-12)
+        assert logs == pytest.approx(n * math.log(0.01), rel=1e-13)
+        assert values[200] == 0.0 and values[100] == pytest.approx(1e-200, rel=1e-12)
+
+    def test_memory_does_not_grow_with_n(self):
+        # 200_000 terms; a per-index float64 array alone would take 1.5 MiB
+        process = GapProcess.parametric(2, 1e-5)
+        tracemalloc.start()
+        try:
+            rho_exact(process, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("k,s,n", [(1, 1e-3, 30_000), (2, 0.01, 3000), (3, 0.003, 8000)])
     def test_rounding_bound_holds(self, k, s, n):
@@ -318,8 +335,8 @@ class TestRhoExact:
     @given(st.integers(1, 3), st.lists(st.floats(0.0, 1.0), min_size=0, max_size=9))
     @settings(max_examples=60, deadline=None)
     def test_bruteforce_property(self, k, u):
-        trace = rho_exact(GapProcess.explicit(k, u), len(u))
-        assert trace.final == pytest.approx(rho_bruteforce(k, u), abs=1e-12)
+        rho = rho_exact(GapProcess.explicit(k, u), len(u))
+        assert rho.final == pytest.approx(rho_bruteforce(k, u), abs=1e-12)
 
 
 class TestBlockedKernel:

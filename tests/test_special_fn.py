@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perckit.special_fn import (
-    FkEvaluator,
     QuadratureError,
     dj_eval,
     fk_eval,
@@ -287,14 +286,15 @@ class TestHkFamilies:
             hk_tilde_eval(2, [0.1, 0.2])
 
 
-class TestEvaluator:
-    def test_immutable(self):
-        ev = FkEvaluator(k=2)
-        with pytest.raises(AttributeError):
-            ev.k = 3
-
-    def test_delegates(self):
-        ev = FkEvaluator(k=2)
-        assert ev.f(0.5) == pytest.approx(fk_eval(2, 0.5))
-        assert ev.g(1.0) == pytest.approx(gk_eval(2, 1.0))
-        assert ev.lam == pytest.approx(lambda_k(2))
+@pytest.mark.parametrize("call", [
+    lambda: fk_eval(2, math.nan),
+    lambda: fk_eval(2, [0.5, math.nan]),
+    lambda: fk_eval(2, 0.5, tol=math.nan),
+    lambda: tj_eval(2, 1, math.nan),
+    lambda: dj_eval(2, 1, math.nan),
+    lambda: hk_eval(2, [0.5, math.nan]),
+    lambda: hk_tilde_eval(2, [0.1, 0.2, math.nan]),
+], ids=["fk", "fk-array", "fk-tol", "tj", "dj", "hk", "hk-tilde"])
+def test_nan_rejected(call):
+    with pytest.raises(ValueError):
+        call()
