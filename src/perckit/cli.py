@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -90,7 +92,9 @@ def _cmd_rho(args):
         rho = rho_exact(process, n)
     except (OSError, ValueError) as exc:  # bad --k/--s/--n or u values, unreadable --u-file
         return _usage_error(exc)
-    print(json.dumps({"value": rho.final, "log_value": rho.log_final, "error_bound": 0.0}))
+    # an exact zero has log -inf, which JSON cannot hold: null
+    log_value = None if rho.log_final == -math.inf else rho.log_final
+    print(json.dumps({"value": rho.final, "log_value": log_value, "error_bound": 0.0}))
 
 
 def _cmd_pak(args):
@@ -361,8 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on first use and kept: `parse_args` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     code = args.fn(args)
     return 0 if code is None else code
 

@@ -517,10 +517,14 @@ def prob_ak(k: int, s: float, tol: float = 1e-8, max_terms: int = 20_000_000) ->
         raise ValueError("tol must be positive and finite")
 
     ks = k * s
-    # 2 e^{-ks(N+1)} / (1 - e^{-ks}) <= tol/4
-    n_tail = math.log(8.0 / (tol * -math.expm1(-ks))) / ks
+    # 2 e^{-ks(N+1)} / (1 - e^{-ks}) <= tol/4; no N serves once the divisor underflows
+    scale = tol * -math.expm1(-ks)
+    n_tail = math.log(8.0 / scale) / ks if scale > 0 else math.inf
     n_un = math.log(4.0 / tol) / s  # e^{-Ns} <= tol/4
-    n = int(math.ceil(max(n_tail, n_un, 1.0 / s, k + 1)))
+    n = max(n_tail, n_un, 1.0 / s, k + 1)
+    if n == math.inf:  # s or tol so small that the sizing overflows
+        raise ValueError(f"tol {tol} at s={s} needs an unbounded N > budget {max_terms}")
+    n = int(math.ceil(n))
     if n > max_terms:
         raise ValueError(f"tol {tol} at s={s} needs N={n} > budget {max_terms}")
     log_rho_n = None

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gap_process import prob_ak, prob_ak_log_bounds
-from .lattice import ModelSpec, Variant, bitboard_reaches_far_edge, pack_board
+from .lattice import ModelSpec, Variant, _board_masks, bitboard_closure, pack_board
 from .rng import derive_seed, trial_generator
 from .special_fn import lambda_k
 
@@ -142,6 +142,15 @@ class MCResult:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
+# A trial still growing after this many generations alone is resumed on a
+# shared board: most trials die or cross sooner, and a board runs for as
+# long as its slowest window.  On the trend and scan points of the
+# benchmark, 4 to 10 were within 6 % of the fastest; 2, and 12 or more,
+# were slower.
+_SOLO_GENERATIONS = 8
+_BOARD_TRIALS = 128
+
+
 def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> int:
     """Count localized trials whose cluster crosses the quadrant window.
 
@@ -151,8 +160,52 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
     L-span of row/column costs is paid.  A centered origin would halve the
     effective radius at the same L and measurably flatten the
     metastability exponent.
+
+    The trials run in two phases.  First each trial with an Active origin
+    runs alone, as in `bitboard_reaches_far_edge`, for at most
+    G = _SOLO_GENERATIONS generations: it succeeds once a far-edge cell
+    (top row or right column) is Active, and fails if it stops sooner, at
+    its fixpoint.  Then the survivors resume from their partial Active
+    boards, up to _BOARD_TRIALS to a board, stacked with g = max(k, 2)
+    blank rows between windows (`_resume_board`), and each is scored by
+    its own far edge at the board's fixpoint.  This gives the per-trial
+    answer:
+
+    * Resuming is sound.  A generation is a function of the current
+      (Active, Occupied, Empty) boards alone, so the closure from a
+      survivor's G-th generation retraces its own run, and
+      `bitboard_closure` accepts any Active start set.  The rules are
+      monotone, so a far edge is Active at the fixpoint iff it is Active
+      at some generation, which is what the solo stop test asks.
+    * The windows cannot interact.  By induction on generations, no blank
+      cell (in a gap row or a padding window) is ever Active, and then
+      every window cell sees the Active cells it sees alone, where the
+      cells outside its window stay Empty.
+    * Local k: a blank cell's cross neighbours in its own row are blank,
+      so it sees Active cells along the column axis only.  j >= 1 rows
+      above the top row of a window it sees at most max(k - j, 0) of that
+      window's cells and, for j <= g, at most max(j + k - 1 - g, 0) of the
+      window above; each count, and their sum 2k - 1 - g, is at most
+      k - 1 because g >= k, so it never fires.  An Empty window cell's
+      cross reaches k - 1 < g rows out, into blank rows only, and the l1
+      ball of radius k around an Occupied cell stops g + 1 > k rows short
+      of the next window.
+    * Modified and Frobose: both rules fire an Empty cell only with an
+      Active horizontal neighbour, and a gap-row cell's horizontal
+      neighbours lie in its own blank row, so it never fires.  The
+      radius-1 reach of an Occupied cell, and the vertical and corner
+      cells that an Empty cell reads, lie at most one row out, in a gap
+      row; the next window is g + 1 = 3 rows away.
+    * Transposition: all four rules are symmetric under x <-> y (cross,
+      l1 and linf neighbourhoods, the vertical-horizontal-corner
+      pattern), so the argument for the blank columns between the growth
+      trials of `growth_events._run_board` carries over to rows.
+      Horizontal shifts are masked per row of the width-L board, so
+      nothing wraps from one row into the next.
     """
+    far = _board_masks(L, L, max(spec.k - 1, 1))[1]
     successes = 0
+    survivors = []
     p_active = 1.0 - spec.q
     for t in range(trials):
         rng = trial_generator(point_seed, t)
@@ -161,8 +214,39 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
         if rng.random() >= p_active:
             continue  # origin empty: nothing ever grows
         nonempty = pack_board(rng.random(L * L - 1) < p_active) << 1 | 1
-        successes += bitboard_reaches_far_edge(spec, L, nonempty)
+        active, generations = bitboard_closure(
+            spec, L, L, 1, nonempty & ~1, stop=lambda board: board & far,
+            budget=_SOLO_GENERATIONS,
+        )
+        if active & far:
+            successes += 1
+        elif generations == _SOLO_GENERATIONS:
+            survivors.append((active, nonempty))
+    for first in range(0, len(survivors), _BOARD_TRIALS):
+        successes += _resume_board(spec, L, far, survivors[first:first + _BOARD_TRIALS])
     return successes
+
+
+def _resume_board(spec: ModelSpec, L: int, far: int, survivors: List[Tuple[int, int]]) -> int:
+    """How many of the (Active, nonempty) L x L windows reach their far edge.
+
+    The second phase of `_boundary_trials`, which proves it sound.  The
+    windows are stacked on one board of width L, g = max(k, 2) blank rows
+    apart, so window i is its own board shifted by i*(L + g)*L bits, and so
+    is its far edge.  The window count is padded up to a power of two with
+    blank windows, which keeps the board shapes, and so the cached
+    `_board_masks`, to eight per window size.  One closure runs the board
+    to its fixpoint.
+    """
+    gap = max(spec.k, 2)
+    stride = (L + gap) * L
+    windows = 1 << (len(survivors) - 1).bit_length()
+    active = nonempty = 0
+    for i, (window_active, window_nonempty) in enumerate(survivors):
+        active |= window_active << (i * stride)
+        nonempty |= window_nonempty << (i * stride)
+    active, _ = bitboard_closure(spec, L, windows * (L + gap) - gap, active, nonempty)
+    return sum(1 for i in range(len(survivors)) if (active >> (i * stride)) & far)
 
 
 def _scan_point(model: str, k: int, q: float, s: float, L: int, trials: int,

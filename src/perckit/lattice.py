@@ -32,8 +32,10 @@ synchronous generation as a few dozen shifts, ANDs and ORs on whole
 boards, from any Active start set, with an optional stop test and a
 generation budget.  `step` (one generation) and `run_to_fixpoint` pack a
 `Lattice`, run the closure and unpack the result; they serve `simulate`
-and the tests.  `harness` runs its boundary-reach trials through
-`bitboard_reaches_far_edge` (stop at the first far-edge activation).
+and the tests.  `harness` runs each boundary-reach trial alone for a few
+generations, as `bitboard_reaches_far_edge` does (stop at the first
+far-edge activation), and resumes the trials still growing on shared
+boards, up to 128 each, stacked with max(k, 2) blank rows between them.
 `growth_events` lays the D_k/J_k/E_k trials of one case on shared
 boards, up to 128 trials each, side by side with k blank separator
 columns, and runs one closure per model and board (stop once every

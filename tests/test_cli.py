@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from perckit.cli import main
+from perckit import cli
+from perckit.cli import build_parser, main
 from perckit.lattice import read_snapshot
 from perckit.special_fn import fk_eval, lambda_k
 
@@ -117,6 +118,18 @@ class TestProbabilityCommands:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_rho_exact_zero_prints_null(self, capsys, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("0.5 0.0 0.0 1.0 0.3\n")
+        code, out, _ = run_cli(capsys, "rho", "--k", "2", "--u-file", str(path))
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        data = json.loads(out, parse_constant=refuse)
+        assert code == 0
+        assert data == {"value": 0.0, "log_value": None, "error_bound": 0.0}
+
     def test_pak(self, capsys):
         code, out, _ = run_cli(capsys, "pak", "--k", "2", "--s", "0.1", "--tol", "1e-8")
         data = json.loads(out)
@@ -127,6 +140,7 @@ class TestProbabilityCommands:
         ["--k", "0"], ["--k", "-2"], ["--s", "nan"], ["--s", "inf"], ["--s", "0"],
         ["--s", "-0.1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
         ["--s", "1e-5"],  # the rounding floor alone is above tol/4
+        ["--s", "1e-300"], ["--s", "5e-324"], ["--tol", "1e-320"],  # N sizing overflows
     ])
     def test_pak_rejects_bad_input(self, capsys, bad):
         code, out, err = run_cli(capsys, "pak", "--k", "1", "--s", "0.1", *bad)
@@ -415,3 +429,28 @@ class TestSimulationCommands:
         )
         data = json.loads(out)
         assert data["k"] == 1 and len(data["estimates"]) == 2
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["fk", "--help"], ["events", "verify", "--help"], ["scan", "--help"],
+        [], ["fk"], ["scan", "--format", "xml"], ["nope"], ["trend", "--k", "two"],
+    ])
+    def test_kept_parser_prints_as_a_fresh_one(self, capsys, argv):
+        outputs = []
+        for parse in (main, main, lambda a: build_parser().parse_args(a)):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            captured = capsys.readouterr()
+            outputs.append((exc.value.code, captured.out, captured.err))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_main_builds_no_parser_per_call(self, capsys, monkeypatch):
+        main(["lambda", "--k", "1"])
+
+        def fail():
+            raise AssertionError("build_parser called again")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        assert main(["lambda", "--k", "2"]) == 0
+        assert float(capsys.readouterr().out.splitlines()[-1]) == pytest.approx(lambda_k(2))

@@ -498,6 +498,12 @@ class TestProbAk:
         with pytest.raises(ValueError):
             prob_ak(2, 1e-6, tol=1e-10, max_terms=100)
 
+    @pytest.mark.parametrize("k,s,tol", [(1, 1e-300, 1e-8), (2, 5e-324, 1e-8), (1, 0.1, 1e-320)])
+    def test_unbounded_n_is_refused(self, k, s, tol):
+        # the N sizing overflows to inf (or divides by an underflowed zero)
+        with pytest.raises(ValueError, match=f"s={s!r} needs an unbounded N"):
+            prob_ak(k, s, tol)
+
     @pytest.mark.parametrize("k,s,tol", [
         (0, 0.1, 1e-8), (-1, 0.1, 1e-8), (1.5, 0.1, 1e-8),
         (2, math.nan, 1e-8), (2, math.inf, 1e-8), (2, 0.0, 1e-8),

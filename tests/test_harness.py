@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perckit import harness
 from perckit.harness import (
     ExperimentConfig,
     MCResult,
@@ -24,6 +25,9 @@ from perckit.lattice import (
     Lattice,
     ModelSpec,
     Variant,
+    _board_masks,
+    bitboard_reaches_far_edge,
+    pack_board,
     reaches_boundary,
     run_to_fixpoint,
 )
@@ -252,6 +256,19 @@ def _fixpoint_trials(spec, L, trials, point_seed):
     return successes
 
 
+def _solo_trials(spec, L, trials, point_seed):
+    """Boundary-reach successes by `bitboard_reaches_far_edge`, one trial at a time."""
+    successes = 0
+    p_active = 1.0 - spec.q
+    for t in range(trials):
+        rng = trial_generator(point_seed, t)
+        if rng.random() >= p_active:
+            continue
+        nonempty = pack_board(rng.random(L * L - 1) < p_active) << 1 | 1
+        successes += bitboard_reaches_far_edge(spec, L, nonempty)
+    return successes
+
+
 _VARIANT_K = [(Variant.LOCAL_K, k) for k in (2, 3, 4, 5)] + [
     (Variant.LOCAL_MODIFIED, 1),
     (Variant.LOCAL_FROBOSE, 1),
@@ -272,6 +289,50 @@ class TestBoundaryTrials:
         spec = ModelSpec(variant, k=k, q=q)
         trials = 3
         assert _boundary_trials(spec, L, trials, seed) == _fixpoint_trials(spec, L, trials, seed)
+
+    @given(
+        st.sampled_from(_VARIANT_K),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(0.4, 0.85)),
+        st.integers(1, 70),
+        st.integers(150, 300),
+        st.integers(0, 2**64 - 1),
+    )
+    # windows full to their edges: every trial survives alone, and fills two or three boards
+    @example((Variant.LOCAL_K, 2), 0.0, 70, 300, 1)
+    @example((Variant.LOCAL_MODIFIED, 1), 0.0, 40, 260, 2)
+    @example((Variant.LOCAL_FROBOSE, 1), 0.0, 12, 150, 3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_solo_trials(self, variant_k, q, L, trials, seed):
+        variant, k = variant_k
+        spec = ModelSpec(variant, k=k, q=q)
+        assert _boundary_trials(spec, L, trials, seed) == _solo_trials(spec, L, trials, seed)
+
+    @pytest.mark.parametrize("variant_k,q,L,trials", [
+        ((Variant.LOCAL_K, 3), 0.0, 50, 300),
+        ((Variant.LOCAL_K, 2), 0.45, 60, 300),
+        ((Variant.LOCAL_FROBOSE, 1), 0.2, 48, 300),
+    ])
+    def test_survivors_fill_several_boards(self, monkeypatch, variant_k, q, L, trials):
+        boards = []
+        resume = harness._resume_board
+
+        def spy(spec, L, far, survivors):
+            boards.append(len(survivors))
+            return resume(spec, L, far, survivors)
+
+        monkeypatch.setattr(harness, "_resume_board", spy)
+        spec = ModelSpec(variant_k[0], k=variant_k[1], q=q)
+        assert _boundary_trials(spec, L, trials, 17) == _solo_trials(spec, L, trials, 17)
+        assert len(boards) >= 2 and boards[0] == harness._BOARD_TRIALS
+
+    def test_mask_cache_stays_bounded(self):
+        # one window size, a survivor count per point: the padded board
+        # heights give at most eight mask shapes, the L x L window among them
+        _board_masks.cache_clear()
+        s_grid = [0.5 - 0.015 * i for i in range(24)]
+        report = trend_check_theorem1(2, s_grid, trials=300, seed=5, L_rule=lambda s: 24)
+        assert len(set(report.successes)) > 8
+        assert _board_masks.cache_info().currsize <= 8
 
     def test_pinned_trend_counts(self):
         # trend --k 2 --s 0.25 0.2 0.167 0.143 --trials 1000 --seed 7, as
