@@ -27,7 +27,7 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _usage_error(exc: Exception) -> int:
+def _usage_error(exc: object) -> int:
     """One `error: ...` line on stderr and exit code 2, for rejected input or an unusable path."""
     print(f"error: {exc}", file=sys.stderr)
     return 2
@@ -373,7 +373,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    code = args.fn(args)
+    try:
+        code = args.fn(args)
+    except MemoryError as exc:  # a grid, board or table too large for the memory at hand
+        return _usage_error(f"out of memory ({exc})" if str(exc) else "out of memory")
     return 0 if code is None else code
 
 

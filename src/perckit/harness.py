@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
@@ -23,8 +24,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gap_process import prob_ak, prob_ak_log_bounds
-from .lattice import ModelSpec, Variant, _board_masks, bitboard_closure, pack_board
-from .rng import derive_seed, trial_generator
+from .lattice import ModelSpec, Variant, _board_masks, bitboard_closure
+from .rng import derive_seed, first_uniforms, trial_generator
 from .special_fn import lambda_k
 
 __all__ = [
@@ -142,13 +143,41 @@ class MCResult:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-# A trial still growing after this many generations alone is resumed on a
-# shared board: most trials die or cross sooner, and a board runs for as
-# long as its slowest window.  On the trend and scan points of the
-# benchmark, 4 to 10 were within 6 % of the fastest; 2, and 12 or more,
-# were slower.
-_SOLO_GENERATIONS = 8
+# Windows run this many generations to a block; then the settled ones
+# leave and the rest are repacked.  Shorter blocks let settled windows
+# leave sooner, longer ones repack less often; on the trend and scan
+# points of the benchmark 4 and 6 were within 1 % and 8 was 3 % slower.
+_BLOCK_GENERATIONS = 4
+# At most this many windows share a board, and more than one only while
+# their strides fit in _BOARD_BITS bits.  A closure holds a dozen or so
+# board-sized ints at once, and past 2^19 bits the interpreter's cost per
+# operation no longer counts: on scans at L = 150 and 400, a budget of 2^22
+# bits ran 20-85 % slower and peaked 6-7 MiB higher.
 _BOARD_TRIALS = 128
+_BOARD_BITS = 1 << 19
+_ORIGIN_CHUNK = 1 << 16  # trials whose origins are drawn in one `first_uniforms` pass
+
+
+def _board_layout(L: int, k: int) -> Tuple[int, int]:
+    """(gap, windows per board) for the L x L windows of a rule of range k.
+
+    The gap is the fewest blank rows, at least max(k, 2), that make a
+    window's stride of (L + gap) * L bits a whole number of bytes.  A board
+    holds the largest power of two of strides that fits in _BOARD_BITS,
+    capped at _BOARD_TRIALS and never below one.
+    """
+    gap = max(k, 2)
+    while (L + gap) * L % 8:
+        gap += 1
+    fit = _BOARD_BITS // ((L + gap) * L)
+    return gap, min(_BOARD_TRIALS, 1 << max(fit.bit_length() - 1, 0))
+
+
+def _active_origins(point_seed: int, trials: int, p_active: float):
+    """The trials, in order, whose origin cell (their first uniform) is nonempty."""
+    for first in range(0, trials, _ORIGIN_CHUNK):
+        draws = first_uniforms(point_seed, np.arange(first, min(first + _ORIGIN_CHUNK, trials)))
+        yield from (first + np.flatnonzero(draws < p_active)).tolist()
 
 
 def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> int:
@@ -161,22 +190,30 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
     effective radius at the same L and measurably flatten the
     metastability exponent.
 
-    The trials run in two phases.  First each trial with an Active origin
-    runs alone, as in `bitboard_reaches_far_edge`, for at most
-    G = _SOLO_GENERATIONS generations: it succeeds once a far-edge cell
-    (top row or right column) is Active, and fails if it stops sooner, at
-    its fixpoint.  Then the survivors resume from their partial Active
-    boards, up to _BOARD_TRIALS to a board, stacked with g = max(k, 2)
-    blank rows between windows (`_resume_board`), and each is scored by
-    its own far edge at the board's fixpoint.  This gives the per-trial
-    answer:
+    Only trials with an Active origin can grow; `first_uniforms` finds
+    them from the first draw of each trial's stream, and each of them then
+    draws its L*L uniforms, row-major, the origin's first.  Their windows
+    run in blocks on shared boards: up to `_board_layout`'s count of
+    windows to a board, stacked with g >= max(k, 2) blank rows between
+    them, g chosen so that the stride of a window and the gap above it is
+    a whole number of bytes, so that window i is byte slice i of the board.
+    Each board runs one closure of G = _BLOCK_GENERATIONS generations
+    (`_run_block`), and then every window is scored on its own by its far
+    edge (top row and right column): Active is a success; if the window's
+    Active cells did not change in the block, or its board stopped before
+    G generations, the window is at its fixpoint and fails; otherwise it
+    survives, and the survivors fill the next board, topped up with the
+    next trials.  This gives the per-trial answer of
+    `bitboard_reaches_far_edge`:
 
-    * Resuming is sound.  A generation is a function of the current
-      (Active, Occupied, Empty) boards alone, so the closure from a
-      survivor's G-th generation retraces its own run, and
-      `bitboard_closure` accepts any Active start set.  The rules are
-      monotone, so a far edge is Active at the fixpoint iff it is Active
-      at some generation, which is what the solo stop test asks.
+    * Blocks are sound.  A generation is a function of the current
+      (Active, Occupied, Empty) boards alone, so a window resumed from the
+      end of its last block retraces its own run, and `bitboard_closure`
+      accepts any Active start set.  The rules are monotone, so a far edge
+      is Active at the fixpoint iff it is Active at the end of some block.
+      A window whose Active cells did not change in a block had a first
+      generation that activated nothing in it, which is its fixpoint; a
+      board that stopped early had such a generation for every window.
     * The windows cannot interact.  By induction on generations, no blank
       cell (in a gap row or a padding window) is ever Active, and then
       every window cell sees the Active cells it sees alone, where the
@@ -195,7 +232,10 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
       neighbours lie in its own blank row, so it never fires.  The
       radius-1 reach of an Occupied cell, and the vertical and corner
       cells that an Empty cell reads, lie at most one row out, in a gap
-      row; the next window is g + 1 = 3 rows away.
+      row; the next window is g + 1 >= 3 rows away.
+    * A gap wider than max(k, 2) keeps every bound: each step above needs
+      only g >= k under local k and g >= 2 under the other two rules, and
+      more blank rows only move the next window farther away.
     * Transposition: all four rules are symmetric under x <-> y (cross,
       l1 and linf neighbourhoods, the vertical-horizontal-corner
       pattern), so the argument for the blank columns between the growth
@@ -203,50 +243,56 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
       Horizontal shifts are masked per row of the width-L board, so
       nothing wraps from one row into the next.
     """
+    gap, per_board = _board_layout(L, spec.k)
+    nbytes = (L + gap) * L // 8
     far = _board_masks(L, L, max(spec.k - 1, 1))[1]
-    successes = 0
-    survivors = []
+    origin = (1).to_bytes(nbytes, "little")
     p_active = 1.0 - spec.q
-    for t in range(trials):
-        rng = trial_generator(point_seed, t)
-        # The trial's L*L uniforms in row-major order, the origin's first;
-        # the rest are drawn only when the origin is nonempty.
-        if rng.random() >= p_active:
-            continue  # origin empty: nothing ever grows
-        nonempty = pack_board(rng.random(L * L - 1) < p_active) << 1 | 1
-        active, generations = bitboard_closure(
-            spec, L, L, 1, nonempty & ~1, stop=lambda board: board & far,
-            budget=_SOLO_GENERATIONS,
-        )
-        if active & far:
-            successes += 1
-        elif generations == _SOLO_GENERATIONS:
-            survivors.append((active, nonempty))
-    for first in range(0, len(survivors), _BOARD_TRIALS):
-        successes += _resume_board(spec, L, far, survivors[first:first + _BOARD_TRIALS])
-    return successes
+    origins = _active_origins(point_seed, trials, p_active)
+    # the windows still growing: (Active cells, nonempty cells), one stride of bytes each
+    windows = []
+    successes = 0
+    while True:
+        for t in itertools.islice(origins, per_board - len(windows)):
+            drawn = trial_generator(point_seed, t).random(L * L) < p_active
+            cells = np.packbits(drawn, bitorder="little").tobytes()
+            windows.append((origin, cells.ljust(nbytes, b"\0")))
+        if not windows:
+            return successes
+        after, generations = _run_block(spec, L, gap, windows)
+        survivors = []
+        for (active, nonempty), active_after in zip(windows, after):
+            if int.from_bytes(active_after, "little") & far:
+                successes += 1
+            elif generations == _BLOCK_GENERATIONS and active_after != active:
+                survivors.append((active_after, nonempty))
+            # else unchanged in the block, or on a board that stopped early: at the fixpoint
+        windows = survivors
 
 
-def _resume_board(spec: ModelSpec, L: int, far: int, survivors: List[Tuple[int, int]]) -> int:
-    """How many of the (Active, nonempty) L x L windows reach their far edge.
+def _run_block(spec: ModelSpec, L: int, gap: int,
+               windows: List[Tuple[bytes, bytes]]) -> Tuple[List[bytes], int]:
+    """(Active strides, generations run) of one block of stacked windows.
 
-    The second phase of `_boundary_trials`, which proves it sound.  The
-    windows are stacked on one board of width L, g = max(k, 2) blank rows
-    apart, so window i is its own board shifted by i*(L + g)*L bits, and so
-    is its far edge.  The window count is padded up to a power of two with
-    blank windows, which keeps the board shapes, and so the cached
-    `_board_masks`, to eight per window size.  One closure runs the board
-    to its fixpoint.
+    Each window is a pair of strides of (L + gap) * L bits, its Active and
+    its nonempty cells as bytes, and the board of width L is their
+    concatenation, as in `_boundary_trials`, which proves the stacking
+    sound.  The window count is padded up to a power of two with blank
+    windows, which keeps the board shapes, and so the cached
+    `_board_masks`, to eight per window size.  The board runs one closure
+    of at most _BLOCK_GENERATIONS generations.
     """
-    gap = max(spec.k, 2)
-    stride = (L + gap) * L
-    windows = 1 << (len(survivors) - 1).bit_length()
-    active = nonempty = 0
-    for i, (window_active, window_nonempty) in enumerate(survivors):
-        active |= window_active << (i * stride)
-        nonempty |= window_nonempty << (i * stride)
-    active, _ = bitboard_closure(spec, L, windows * (L + gap) - gap, active, nonempty)
-    return sum(1 for i in range(len(survivors)) if (active >> (i * stride)) & far)
+    nbytes = len(windows[0][0])
+    padded = 1 << (len(windows) - 1).bit_length()
+    board, generations = bitboard_closure(
+        spec, L, padded * (L + gap) - gap,
+        int.from_bytes(b"".join(active for active, _ in windows), "little"),
+        int.from_bytes(b"".join(nonempty for _, nonempty in windows), "little"),
+        budget=_BLOCK_GENERATIONS,
+    )
+    # gap rows and padding windows stay blank, so the board fits in the windows' strides
+    after = board.to_bytes(len(windows) * nbytes, "little")
+    return [after[i:i + nbytes] for i in range(0, len(after), nbytes)], generations
 
 
 def _scan_point(model: str, k: int, q: float, s: float, L: int, trials: int,

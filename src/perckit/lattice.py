@@ -32,10 +32,11 @@ synchronous generation as a few dozen shifts, ANDs and ORs on whole
 boards, from any Active start set, with an optional stop test and a
 generation budget.  `step` (one generation) and `run_to_fixpoint` pack a
 `Lattice`, run the closure and unpack the result; they serve `simulate`
-and the tests.  `harness` runs each boundary-reach trial alone for a few
-generations, as `bitboard_reaches_far_edge` does (stop at the first
-far-edge activation), and resumes the trials still growing on shared
-boards, up to 128 each, stacked with max(k, 2) blank rows between them.
+and the tests.  `harness` runs its boundary-reach trials, which
+`bitboard_reaches_far_edge` runs one at a time, in blocks of a few
+generations on shared boards, up to 128 each, stacked with at least
+max(k, 2) blank rows between them; after each block the trials that
+reached a far edge or their fixpoint leave, and the rest are repacked.
 `growth_events` lays the D_k/J_k/E_k trials of one case on shared
 boards, up to 128 trials each, side by side with k blank separator
 columns, and runs one closure per model and board (stop once every
@@ -376,8 +377,9 @@ def _board_masks(width: int, height: int, reach: int) -> Tuple[int, int, List[in
     row = (1 << width) - 1
     full = (1 << (width * height)) - 1
     first_column = full // row  # bit y*width of every row y
-    plus = [first_column * (row & ~((1 << v) - 1)) for v in range(reach + 1)]
-    minus = [first_column * ((1 << max(width - v, 0)) - 1) for v in range(reach + 1)]
+    # a shift by 0 keeps every column: plus[0] and minus[0] are `full` itself
+    plus = [full] + [first_column * (row & ~((1 << v) - 1)) for v in range(1, reach + 1)]
+    minus = [full] + [first_column * ((1 << max(width - v, 0)) - 1) for v in range(1, reach + 1)]
     far = 0
     if height > 1:
         far |= row << (width * (height - 1))

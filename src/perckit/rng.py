@@ -8,6 +8,9 @@ block that `Philox(key=point_seed).jumped(t)` reaches, built without the
 jump), so any trial's draws are reproducible regardless of scheduling or
 worker count.  A growth trial reads its `Philox(key=seed)` stream as raw
 words instead (`PhiloxReader`), drawing the values a `Generator` would.
+The first draw of many trials of one point at once, such as the origin
+cells of the boundary-reach trials, comes from `first_uniforms`, which
+runs the Philox4x64-10 rounds on numpy arrays over the trial indices.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-__all__ = ["splitmix64", "derive_seed", "trial_generator", "PhiloxReader"]
+__all__ = ["splitmix64", "derive_seed", "trial_generator", "first_uniforms", "PhiloxReader"]
 
 
 def splitmix64(state: int) -> int:
@@ -54,14 +57,19 @@ def trial_generator(point_seed: int, trial: int) -> np.random.Generator:
     before asking for the next, with no call in between that may reach
     either.  A stream that must outlive the next call needs its own `Philox`.
     """
-    key = operator.index(point_seed)
-    if not 0 <= key < 1 << 128:
-        raise ValueError(f"seed {key} must lie in [0, 2**128)")
+    key = _philox_key(point_seed)
     generator, state = _shared()
     state["state"]["key"][:] = key & _MASK, key >> 64
     state["state"]["counter"][2] = trial
     generator.bit_generator.state = state
     return generator
+
+
+def _philox_key(point_seed: int) -> int:
+    key = operator.index(point_seed)
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"seed {key} must lie in [0, 2**128)")
+    return key
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,6 +80,44 @@ def _shared():
 
 _LOW = (1 << 32) - 1
 _UNIT = 2.0 ** -53
+
+# Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit products m * x, on 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & _LOW), np.uint64(m >> 32)
+    x_lo, x_hi = x & np.uint64(_LOW), x >> np.uint64(32)
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = (m_lo * x_lo >> np.uint64(32)) + (lh & np.uint64(_LOW)) + (hl & np.uint64(_LOW))
+    high = m_hi * x_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
+    return high, x * np.uint64(m)  # uint64 products wrap: the low word
+
+
+def first_uniforms(point_seed: int, trials: np.ndarray) -> np.ndarray:
+    """`trial_generator(point_seed, t).random()` for every trial index t in `trials`.
+
+    numpy's Philox increments its counter before each block of four
+    words, so the first word of trial t is word 0 of the Philox4x64-10
+    block at counter [1, 0, t, 0], and `random()` is its top 53 bits times
+    2^-53.  The ten rounds run on uint64 arrays over `trials`; numpy has
+    no 64 x 64 -> 128-bit product, so `_mulhilo` builds the high word from
+    32-bit halves.
+    """
+    key = _philox_key(point_seed)
+    k0, k1 = key & _MASK, key >> 64
+    c2 = np.asarray(trials, dtype=np.uint64)
+    c0, c1, c3 = np.ones_like(c2), np.zeros_like(c2), np.zeros_like(c2)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK, (k1 + _PHILOX_W[1]) & _MASK
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return (c0 >> np.uint64(11)).astype(np.float64) * _UNIT
 
 
 class PhiloxReader:

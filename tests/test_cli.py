@@ -3,7 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,3 +460,31 @@ class TestParser:
         monkeypatch.setattr(cli, "build_parser", fail)
         assert main(["lambda", "--k", "2"]) == 0
         assert float(capsys.readouterr().out.splitlines()[-1]) == pytest.approx(lambda_k(2))
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _limit_address_space():
+    # the child's own limit: its huge requests fail at once, and nothing
+    # else on the machine is touched
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--L", "100000", "--trials", "1", "--q", "0.5", "--k", "2", "--seed", "1"],
+        ["simulate", "--model", "local", "--L", "200000", "--k", "2", "--q", "0.5", "--seed", "1"],
+    ])
+    def test_memory_error_is_one_error_line(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(_SRC), "OPENBLAS_NUM_THREADS": "1"}
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "perckit.cli", *argv], env=env, capture_output=True,
+            text=True, timeout=60, preexec_fn=_limit_address_space,
+        )
+        assert time.monotonic() - start < 30
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1

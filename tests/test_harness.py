@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from perckit.lattice import (
     reaches_boundary,
     run_to_fixpoint,
 )
-from perckit.rng import PhiloxReader, derive_seed, splitmix64, trial_generator
+from perckit.rng import PhiloxReader, derive_seed, first_uniforms, splitmix64, trial_generator
 from perckit.special_fn import lambda_k
 
 
@@ -119,6 +123,34 @@ class TestRng:
     def test_reader_refuses_n_outside_32_bits(self, n):
         with pytest.raises(ValueError):
             PhiloxReader(1, 4).integers(n)
+
+    @given(
+        st.integers(0, 2**128 - 1),
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40),
+    )
+    @example(0, [0, 1, 2])
+    @example(2**128 - 1, [2**63 - 1, 2**32, 2**32 - 1])
+    @settings(max_examples=150, deadline=None)
+    def test_first_uniforms_match_the_generator(self, seed, trials):
+        want = [trial_generator(seed, t).random() for t in trials]
+        assert first_uniforms(seed, np.array(trials, dtype=np.uint64)).tolist() == want
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.0 - 2.0**-53, 2.0**-53, 0.5])
+    def test_active_origins_match_the_per_trial_loop(self, q):
+        # q = 1 - 2^-53 leaves only a draw of exactly 0 active; q = 2^-53 puts
+        # 1 - q one float below 1, so a draw of 1 - 2^-53 is not below it
+        for seed in (3, 2**64 + 7):
+            want = [t for t in range(2000) if trial_generator(seed, t).random() < 1.0 - q]
+            assert list(harness._active_origins(seed, 2000, 1.0 - q)) == want
+        assert (first_uniforms(3, np.arange(2000)) < 1.0).all()
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**130 + 5])
+    def test_first_uniforms_refuse_the_seeds_trial_generator_refuses(self, seed):
+        with pytest.raises(ValueError) as kernel:
+            first_uniforms(seed, np.arange(3))
+        with pytest.raises(ValueError) as stream:
+            trial_generator(seed, 0)
+        assert str(kernel.value) == str(stream.value)
 
 
 class TestConfig:
@@ -295,35 +327,69 @@ class TestBoundaryTrials:
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(0.4, 0.85)),
         st.integers(1, 70),
         st.integers(150, 300),
-        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**128 - 1),
     )
-    # windows full to their edges: every trial survives alone, and fills two or three boards
+    # windows full to their edges: every trial survives its first blocks, on two or three boards
     @example((Variant.LOCAL_K, 2), 0.0, 70, 300, 1)
     @example((Variant.LOCAL_MODIFIED, 1), 0.0, 40, 260, 2)
     @example((Variant.LOCAL_FROBOSE, 1), 0.0, 12, 150, 3)
+    # odd L: the gap is widened past max(k, 2) to a whole-byte stride
+    @example((Variant.LOCAL_K, 3), 0.0, 37, 200, 2**70 + 3)
+    @example((Variant.LOCAL_K, 2), 0.55, 33, 300, 2**64)
+    @example((Variant.LOCAL_FROBOSE, 1), 0.45, 9, 300, 2**128 - 1)
     @settings(max_examples=60, deadline=None)
     def test_matches_solo_trials(self, variant_k, q, L, trials, seed):
         variant, k = variant_k
         spec = ModelSpec(variant, k=k, q=q)
         assert _boundary_trials(spec, L, trials, seed) == _solo_trials(spec, L, trials, seed)
 
+    @pytest.mark.parametrize("L", [*range(1, 12), 37, 56, 8000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_board_layout(self, L, k):
+        gap, windows = harness._board_layout(L, k)
+        assert max(k, 2) <= gap < max(k, 2) + 8 and (L + gap) * L % 8 == 0
+        assert windows == 1 or windows * (L + gap) * L <= harness._BOARD_BITS
+        assert windows & (windows - 1) == 0 and 1 <= windows <= harness._BOARD_TRIALS
+
+    def test_board_cap_by_bits(self):
+        # no trial runs: the cap comes from L and k alone
+        assert {harness._board_layout(L, 2)[1] for L in range(32, 57)} == {128}
+        assert harness._board_layout(8000, 2)[1] == 1
+
     @pytest.mark.parametrize("variant_k,q,L,trials", [
         ((Variant.LOCAL_K, 3), 0.0, 50, 300),
         ((Variant.LOCAL_K, 2), 0.45, 60, 300),
         ((Variant.LOCAL_FROBOSE, 1), 0.2, 48, 300),
+        ((Variant.LOCAL_MODIFIED, 1), 0.5, 37, 600),
     ])
     def test_survivors_fill_several_boards(self, monkeypatch, variant_k, q, L, trials):
-        boards = []
-        resume = harness._resume_board
+        blocks = []
+        run_block = harness._run_block
 
-        def spy(spec, L, far, survivors):
-            boards.append(len(survivors))
-            return resume(spec, L, far, survivors)
+        def spy(spec, L, gap, windows):
+            after, generations = run_block(spec, L, gap, windows)
+            blocks.append((list(windows), after, generations))
+            return after, generations
 
-        monkeypatch.setattr(harness, "_resume_board", spy)
+        monkeypatch.setattr(harness, "_run_block", spy)
         spec = ModelSpec(variant_k[0], k=variant_k[1], q=q)
         assert _boundary_trials(spec, L, trials, 17) == _solo_trials(spec, L, trials, 17)
-        assert len(boards) >= 2 and boards[0] == harness._BOARD_TRIALS
+        assert len(blocks) >= 2 and any(len(w) == harness._BOARD_TRIALS for w, *_ in blocks)
+        gap = harness._board_layout(L, spec.k)[0]
+        far = _board_masks(L, L, max(spec.k - 1, 1))[1]
+        origin = (1).to_bytes((L + gap) * L // 8, "little")
+        # a window enters as a fresh trial (only its origin Active) or as a
+        # survivor: far edge not Active, changed through a block of G
+        # generations; every survivor comes back exactly once, nothing else does
+        survivors, resumed = [], []
+        for windows, after, generations in blocks:
+            for (a_in, cells), a_out in zip(windows, after):
+                if a_in != origin:
+                    resumed.append((a_in, cells))
+                if (generations == harness._BLOCK_GENERATIONS
+                        and not int.from_bytes(a_out, "little") & far and a_out != a_in):
+                    survivors.append((a_out, cells))
+        assert survivors and sorted(resumed) == sorted(survivors)
 
     def test_mask_cache_stays_bounded(self):
         # one window size, a survivor count per point: the padded board
@@ -382,6 +448,22 @@ class TestTrend:
     def test_rejects_a_model_that_does_not_run(self, model, k):
         with pytest.raises(ValueError):
             trend_check_theorem1(k, (0.5, 0.4), trials=2, seed=0, model=model)
+
+    def test_validate_trend_window_script(self):
+        # the script reruns the trend at 2L; its default grid is s = 0.25, 0.2
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "validate_trend_window.py"),
+             "--trials", "50", "--seed", "1"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "s,L,estimate,L2,estimate2,agree_2se"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0.25", "32"], ["0.2", "40"]]
+        for line in lines[1:]:
+            assert line.split(",")[3] == str(2 * int(line.split(",")[1]))
 
 
 class TestSweep:
