@@ -57,10 +57,7 @@ import numpy as np
 from .gap_process import GapProcess, rho_exact
 from .rng import PhiloxReader
 from .special_fn import fk_eval
-from .lattice import (
-    CellState, Lattice, ModelSpec, Variant, bitboard_closure, pack_board, reference_fixpoint,
-    to_text, unpack_board,
-)
+from .lattice import CellState, Lattice, ModelSpec, Variant, reference_fixpoint, run_windows, to_text
 
 __all__ = [
     "Condition",
@@ -656,8 +653,8 @@ def _growth_cases(k: int, q: float) -> list:
     return cases
 
 
-# trials per shared board: memory stays bounded as the trial count grows
-_BOARD_TRIALS = 128
+# trials built at once: memory stays bounded as the trial count grows
+_CHUNK_TRIALS = 128
 
 
 def _run_case(results: List[CaseResult], models: List[ModelSpec],
@@ -666,63 +663,45 @@ def _run_case(results: List[CaseResult], models: List[ModelSpec],
 
     Each trial configuration, a 2-D uint8 grid of CellState values, is
     built once, in seed order, and decided under every model, `results[i]`
-    counting for `models[i]`.  The trials run `_BOARD_TRIALS` at a time on
-    one board (`_run_board`), which wraps a grid in a `Lattice` only to
-    re-run it through the oracle.
+    counting for `models[i]`.  The grids of a chunk are padded to one
+    window with Empty cells above and to the right; such a cell sees Active
+    cells along one axis only, so it never fires, and each trial grows as
+    on its own grid.  `run_windows` runs every window to its fixpoint or
+    until its square is Active.  A trial whose square is short of Active,
+    or does not fit its grid, is run again alone through
+    `reference_fixpoint`, the naive oracle, which gives the counterexample
+    snapshot and cross-checks the verdict.
     """
     seeds = list(seeds)
-    for first in range(0, len(seeds), _BOARD_TRIALS):
-        _run_board(results, models, build, side, seeds[first:first + _BOARD_TRIALS])
-
-
-def _run_board(results: List[CaseResult], models: List[ModelSpec],
-               build: Callable[[int], np.ndarray], side: int, seeds: List[int]) -> None:
-    """`_run_case` on one board, each trial in its own window.
-
-    The windows are rectangles laid side by side, top-aligned, with k (the
-    largest k of `models`) blank columns between neighbours.  The blank
-    cells, in the separators and below the shorter windows, start Empty,
-    and none of them ever fires: while none has, such a cell sees Active
-    cells along one axis only, at most k - 1 of its cross neighbours under
-    the k rules, and never both a vertical and a horizontal neighbour
-    under modified and Frobose.  An Occupied cell's reach (the l1 ball of
-    radius k under local k, radius 1 under modified and Frobose) stops
-    short of the next window.  So the trials cannot interact.  One
-    bitboard closure per model runs until every square that fits its
-    window is Active, or to the fixpoint; the rules are monotone, so each
-    trial gets the verdict of a closure on its own window.  A trial whose
-    square is short of Active, or does not fit its window, is run again
-    alone through `reference_fixpoint`, the naive oracle, which gives the
-    counterexample snapshot and cross-checks the verdict.
-    """
-    grids = [build(seed) for seed in seeds]
-    gap = max(model.k for model in models)
-    lefts = np.cumsum([0] + [grid.shape[1] + gap for grid in grids[:-1]]).tolist()
-    height, width = max(grid.shape[0] for grid in grids), lefts[-1] + grids[-1].shape[1]
-    cells = np.zeros((height, width), dtype=np.uint8)
-    for grid, x in zip(grids, lefts):
-        cells[:grid.shape[0], x:x + grid.shape[1]] = grid
-    fits = [side <= min(grid.shape) for grid in grids]
-    square = sum(((1 << side) - 1) << (y * width) for y in range(side))  # R(side, side)
-    target = sum(square << x for x, fit in zip(lefts, fits) if fit)
-    boards = (pack_board(cells == CellState.ACTIVE), pack_board(cells == CellState.OCCUPIED))
-    filled = []
-    for model in models:
-        active, _ = bitboard_closure(model, width, height, *boards,
-                                     stop=lambda board: board & target == target)
-        filled.append(unpack_board(active, (height, width)))
-    for seed, grid, x, fit in zip(seeds, grids, lefts, fits):
-        for res, model, active in zip(results, models, filled):
-            if fit and active[:side, x:x + side].all():
-                continue
-            fixed, _ = reference_fixpoint(Lattice(cells=grid), model)
-            if fit and np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
-                raise AssertionError(
-                    f"bitboard closure and reference_fixpoint disagree on {res.kind} seed {seed}"
-                )
-            res.violations += 1
-            if res.counterexample is None:
-                res.counterexample = to_text(fixed)
+    for first in range(0, len(seeds), _CHUNK_TRIALS):
+        chunk = seeds[first:first + _CHUNK_TRIALS]
+        grids = [build(seed) for seed in chunk]
+        height, width = (max(grid.shape[axis] for grid in grids) for axis in (0, 1))
+        cells = np.zeros((len(grids), height, width), dtype=np.uint8)
+        for grid, window in zip(grids, cells):
+            window[:grid.shape[0], :grid.shape[1]] = grid
+        active, occupied = (
+            np.packbits((cells == state).reshape(len(grids), -1), axis=1, bitorder="little")
+            for state in (CellState.ACTIVE, CellState.OCCUPIED)
+        )
+        windows = [(bytes(a), bytes(o)) for a, o in zip(active, occupied)]
+        # R(side, side), clipped to the window; a square that does not fit its grid is a violation
+        square = sum(((1 << min(side, width)) - 1) << (y * width) for y in range(min(side, height)))
+        for res, model in zip(results, models):
+            filled = run_windows(model, width, height, windows,
+                                 lambda board: board & square == square)
+            for seed, grid, ok in zip(chunk, grids, filled):
+                fit = side <= min(grid.shape)
+                if fit and ok:
+                    continue
+                fixed, _ = reference_fixpoint(Lattice(cells=grid), model)
+                if fit and np.all(fixed.cells[:side, :side] == CellState.ACTIVE):
+                    raise AssertionError(
+                        f"bitboard closure and reference_fixpoint disagree on {res.kind} seed {seed}"
+                    )
+                res.violations += 1
+                if res.counterexample is None:
+                    res.counterexample = to_text(fixed)
 
 
 def verify_growth_guarantee(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import time
@@ -24,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gap_process import prob_ak, prob_ak_log_bounds
-from .lattice import ModelSpec, Variant, _board_masks, bitboard_closure
+from .lattice import ModelSpec, Variant, far_edge, run_windows
 from .rng import derive_seed, first_uniforms, trial_generator
 from .special_fn import lambda_k
 
@@ -148,29 +147,7 @@ class MCResult:
 # leave sooner, longer ones repack less often; on the trend and scan
 # points of the benchmark 4 and 6 were within 1 % and 8 was 3 % slower.
 _BLOCK_GENERATIONS = 4
-# At most this many windows share a board, and more than one only while
-# their strides fit in _BOARD_BITS bits.  A closure holds a dozen or so
-# board-sized ints at once, and past 2^19 bits the interpreter's cost per
-# operation no longer counts: on scans at L = 150 and 400, a budget of 2^22
-# bits ran 20-85 % slower and peaked 6-7 MiB higher.
-_BOARD_TRIALS = 128
-_BOARD_BITS = 1 << 19
 _ORIGIN_CHUNK = 1 << 16  # trials whose origins are drawn in one `first_uniforms` pass
-
-
-def _board_layout(L: int, k: int) -> Tuple[int, int]:
-    """(gap, windows per board) for the L x L windows of a rule of range k.
-
-    The gap is the fewest blank rows, at least max(k, 2), that make a
-    window's stride of (L + gap) * L bits a whole number of bytes.  A board
-    holds the largest power of two of strides that fits in _BOARD_BITS,
-    capped at _BOARD_TRIALS and never below one.
-    """
-    gap = max(k, 2)
-    while (L + gap) * L % 8:
-        gap += 1
-    fit = _BOARD_BITS // ((L + gap) * L)
-    return gap, min(_BOARD_TRIALS, 1 << max(fit.bit_length() - 1, 0))
 
 
 def _active_origins(point_seed: int, trials: int, p_active: float):
@@ -192,107 +169,19 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
 
     Only trials with an Active origin can grow; `first_uniforms` finds
     them from the first draw of each trial's stream, and each of them then
-    draws its L*L uniforms, row-major, the origin's first.  Their windows
-    run in blocks on shared boards: up to `_board_layout`'s count of
-    windows to a board, stacked with g >= max(k, 2) blank rows between
-    them, g chosen so that the stride of a window and the gap above it is
-    a whole number of bytes, so that window i is byte slice i of the board.
-    Each board runs one closure of G = _BLOCK_GENERATIONS generations
-    (`_run_block`), and then every window is scored on its own by its far
-    edge (top row and right column): Active is a success; if the window's
-    Active cells did not change in the block, or its board stopped before
-    G generations, the window is at its fixpoint and fails; otherwise it
-    survives, and the survivors fill the next board, topped up with the
-    next trials.  This gives the per-trial answer of
-    `bitboard_reaches_far_edge`:
-
-    * Blocks are sound.  A generation is a function of the current
-      (Active, Occupied, Empty) boards alone, so a window resumed from the
-      end of its last block retraces its own run, and `bitboard_closure`
-      accepts any Active start set.  The rules are monotone, so a far edge
-      is Active at the fixpoint iff it is Active at the end of some block.
-      A window whose Active cells did not change in a block had a first
-      generation that activated nothing in it, which is its fixpoint; a
-      board that stopped early had such a generation for every window.
-    * The windows cannot interact.  By induction on generations, no blank
-      cell (in a gap row or a padding window) is ever Active, and then
-      every window cell sees the Active cells it sees alone, where the
-      cells outside its window stay Empty.
-    * Local k: a blank cell's cross neighbours in its own row are blank,
-      so it sees Active cells along the column axis only.  j >= 1 rows
-      above the top row of a window it sees at most max(k - j, 0) of that
-      window's cells and, for j <= g, at most max(j + k - 1 - g, 0) of the
-      window above; each count, and their sum 2k - 1 - g, is at most
-      k - 1 because g >= k, so it never fires.  An Empty window cell's
-      cross reaches k - 1 < g rows out, into blank rows only, and the l1
-      ball of radius k around an Occupied cell stops g + 1 > k rows short
-      of the next window.
-    * Modified and Frobose: both rules fire an Empty cell only with an
-      Active horizontal neighbour, and a gap-row cell's horizontal
-      neighbours lie in its own blank row, so it never fires.  The
-      radius-1 reach of an Occupied cell, and the vertical and corner
-      cells that an Empty cell reads, lie at most one row out, in a gap
-      row; the next window is g + 1 >= 3 rows away.
-    * A gap wider than max(k, 2) keeps every bound: each step above needs
-      only g >= k under local k and g >= 2 under the other two rules, and
-      more blank rows only move the next window farther away.
-    * Transposition: all four rules are symmetric under x <-> y (cross,
-      l1 and linf neighbourhoods, the vertical-horizontal-corner
-      pattern), so the argument for the blank columns between the growth
-      trials of `growth_events._run_board` carries over to rows.
-      Horizontal shifts are masked per row of the width-L board, so
-      nothing wraps from one row into the next.
+    draws its L*L uniforms, row-major, the origin's first.  `run_windows`
+    runs them in blocks and scores each by its far edge, as
+    `bitboard_reaches_far_edge` does for one trial.
     """
-    gap, per_board = _board_layout(L, spec.k)
-    nbytes = (L + gap) * L // 8
-    far = _board_masks(L, L, max(spec.k - 1, 1))[1]
-    origin = (1).to_bytes(nbytes, "little")
+    far = far_edge(L, L)
     p_active = 1.0 - spec.q
-    origins = _active_origins(point_seed, trials, p_active)
-    # the windows still growing: (Active cells, nonempty cells), one stride of bytes each
-    windows = []
-    successes = 0
-    while True:
-        for t in itertools.islice(origins, per_board - len(windows)):
-            drawn = trial_generator(point_seed, t).random(L * L) < p_active
-            cells = np.packbits(drawn, bitorder="little").tobytes()
-            windows.append((origin, cells.ljust(nbytes, b"\0")))
-        if not windows:
-            return successes
-        after, generations = _run_block(spec, L, gap, windows)
-        survivors = []
-        for (active, nonempty), active_after in zip(windows, after):
-            if int.from_bytes(active_after, "little") & far:
-                successes += 1
-            elif generations == _BLOCK_GENERATIONS and active_after != active:
-                survivors.append((active_after, nonempty))
-            # else unchanged in the block, or on a board that stopped early: at the fixpoint
-        windows = survivors
-
-
-def _run_block(spec: ModelSpec, L: int, gap: int,
-               windows: List[Tuple[bytes, bytes]]) -> Tuple[List[bytes], int]:
-    """(Active strides, generations run) of one block of stacked windows.
-
-    Each window is a pair of strides of (L + gap) * L bits, its Active and
-    its nonempty cells as bytes, and the board of width L is their
-    concatenation, as in `_boundary_trials`, which proves the stacking
-    sound.  The window count is padded up to a power of two with blank
-    windows, which keeps the board shapes, and so the cached
-    `_board_masks`, to eight per window size.  The board runs one closure
-    of at most _BLOCK_GENERATIONS generations.
-    """
-    nbytes = len(windows[0][0])
-    padded = 1 << (len(windows) - 1).bit_length()
-    board, generations = bitboard_closure(
-        spec, L, padded * (L + gap) - gap,
-        int.from_bytes(b"".join(active for active, _ in windows), "little"),
-        int.from_bytes(b"".join(nonempty for _, nonempty in windows), "little"),
-        budget=_BLOCK_GENERATIONS,
+    windows = (
+        (b"\x01", np.packbits(trial_generator(point_seed, t).random(L * L) < p_active,
+                            bitorder="little").tobytes())
+        for t in _active_origins(point_seed, trials, p_active)
     )
-    # gap rows and padding windows stay blank, so the board fits in the windows' strides
-    after = board.to_bytes(len(windows) * nbytes, "little")
-    return [after[i:i + nbytes] for i in range(0, len(after), nbytes)], generations
+    return sum(run_windows(spec, L, L, windows, lambda active: active & far,
+                           budget=_BLOCK_GENERATIONS))
 
 
 def _scan_point(model: str, k: int, q: float, s: float, L: int, trials: int,

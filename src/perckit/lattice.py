@@ -32,15 +32,11 @@ synchronous generation as a few dozen shifts, ANDs and ORs on whole
 boards, from any Active start set, with an optional stop test and a
 generation budget.  `step` (one generation) and `run_to_fixpoint` pack a
 `Lattice`, run the closure and unpack the result; they serve `simulate`
-and the tests.  `harness` runs its boundary-reach trials, which
-`bitboard_reaches_far_edge` runs one at a time, in blocks of a few
-generations on shared boards, up to 128 each, stacked with at least
-max(k, 2) blank rows between them; after each block the trials that
-reached a far edge or their fixpoint leave, and the rest are repacked.
-`growth_events` lays the D_k/J_k/E_k trials of one case on shared
-boards, up to 128 trials each, side by side with k blank separator
-columns, and runs one closure per model and board (stop once every
-target square is Active).
+and the tests.  `run_windows` runs a batch of trial windows on shared
+boards, stacked with blank rows between them, and scores each window
+alone; `harness` (boundary reach, in blocks of a few generations) and
+`growth_events` (the D_k/J_k/E_k growth guarantees) run their trials
+through it.
 
 The oracles share no code with the engine: `step_reference` is a
 deliberately naive per-cell step, `reference_fixpoint` iterates it to the
@@ -51,9 +47,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +72,8 @@ __all__ = [
     "unpack_board",
     "bitboard_closure",
     "bitboard_reaches_far_edge",
+    "far_edge",
+    "run_windows",
     "extract_growth_sequence",
     "is_good_configuration",
     "to_text",
@@ -363,11 +362,9 @@ def reaches_boundary(lattice: Lattice, spec: ModelSpec) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _board_masks(width: int, height: int, reach: int) -> Tuple[int, int, List[int], List[int]]:
-    """(all cells, far-edge cells, plus, minus) for a width x height bitboard.
+def _board_masks(width: int, height: int, reach: int) -> Tuple[int, List[int], List[int]]:
+    """(all cells, plus, minus) for a width x height bitboard.
 
-    The far edges are the top row and the right column, unless they pass
-    through the origin (0, 0) (see `bitboard_reaches_far_edge`).
     plus[v] / minus[v] keep the columns that a horizontal shift by +v / -v
     may land in; masking with them drops the bits that the row-major shift
     carries across a row end instead of out of the window.
@@ -380,12 +377,19 @@ def _board_masks(width: int, height: int, reach: int) -> Tuple[int, int, List[in
     # a shift by 0 keeps every column: plus[0] and minus[0] are `full` itself
     plus = [full] + [first_column * (row & ~((1 << v) - 1)) for v in range(1, reach + 1)]
     minus = [full] + [first_column * ((1 << max(width - v, 0)) - 1) for v in range(1, reach + 1)]
-    far = 0
-    if height > 1:
-        far |= row << (width * (height - 1))
-    if width > 1:
-        far |= first_column << (width - 1)
-    return full, far, plus, minus
+    return full, plus, minus
+
+
+def far_edge(width: int, height: int) -> int:
+    """The top row and right column of a width x height bitboard.
+
+    Edges through the origin (0, 0) do not count (see
+    `bitboard_reaches_far_edge`), so a 1 x 1 window has no far cell.
+    """
+    row = (1 << width) - 1
+    top = row << (width * (height - 1)) if height > 1 else 0
+    right = ((1 << (width * height)) - 1) // row << (width - 1) if width > 1 else 0
+    return top | right
 
 
 def pack_board(mask: np.ndarray) -> int:
@@ -437,7 +441,7 @@ def bitboard_closure(
     activates at least one of the width*height cells.
     """
     variant, k = spec.variant, spec.k
-    full, _, plus, minus = _board_masks(width, height, max(k - 1, 1))
+    full, plus, minus = _board_masks(width, height, max(k - 1, 1))
     if budget is None:
         budget = width * height
     elif budget < 0:
@@ -557,9 +561,113 @@ def bitboard_reaches_far_edge(spec: ModelSpec, L: int, nonempty: int) -> bool:
     """
     if not spec.is_local:
         raise ValueError("far-edge reach by closure needs a localized model variant")
-    far = _board_masks(L, L, max(spec.k - 1, 1))[1]
+    far = far_edge(L, L)
     active, _ = bitboard_closure(spec, L, L, 1, nonempty & ~1, stop=lambda board: board & far)
     return bool(active & far)
+
+
+# At most this many windows share a board, and more than one only while
+# their strides fit in _BOARD_BITS bits.  A closure holds a dozen or so
+# board-sized ints at once, and past 2^19 bits the interpreter's cost per
+# operation no longer counts: on scans at L = 150 and 400, a budget of 2^22
+# bits ran 20-85 % slower and peaked 6-7 MiB higher.
+_BOARD_TRIALS = 128
+_BOARD_BITS = 1 << 19
+
+
+def _board_layout(width: int, height: int, k: int) -> Tuple[int, int]:
+    """(gap, windows per board) for the width x height windows of a rule of range k.
+
+    The gap is the fewest blank rows, at least max(k, 2), that make a
+    window's stride of (height + gap) * width bits a whole number of bytes.
+    A board holds the largest power of two of strides that fits in
+    _BOARD_BITS, capped at _BOARD_TRIALS and never below one.
+    """
+    gap = max(k, 2)
+    while (height + gap) * width % 8:
+        gap += 1
+    fit = _BOARD_BITS // ((height + gap) * width)
+    return gap, min(_BOARD_TRIALS, 1 << max(fit.bit_length() - 1, 0))
+
+
+def run_windows(
+    spec: ModelSpec,
+    width: int,
+    height: int,
+    windows: Iterable[Tuple[bytes, bytes]],
+    done: Callable[[int], object],
+    budget: Optional[int] = None,
+) -> List[bool]:
+    """Whether `done` holds on the closure of each window alone, in input order.
+
+    A window is a pair (Active cells, Occupied cells) of `bytes` in
+    `pack_board`'s bit order for a width x height grid; its other cells are
+    Empty.  `done` tests a window's Active board and stays true once it
+    holds.  Windows are pulled as board slots free up, up to
+    `_board_layout`'s count to a board, stacked with g >= max(k, 2) blank
+    rows between them, so that window i is byte slice i of the board; the
+    count is padded to a power of two with blank windows, which keeps the
+    cached `_board_masks` to eight shapes per window shape.  Each board
+    runs one closure of at most `budget` generations (to its fixpoint if
+    None).  Then a window where `done` holds succeeds; one whose Active
+    cells did not change, or whose board stopped early, is at its fixpoint
+    and fails; the rest are repacked with the next windows.  This is the
+    verdict of a closure on each window alone:
+
+    * Blocks are sound.  A generation is a function of the current boards
+      alone, so a window resumed from the end of a block retraces its own
+      run.  The rules are monotone, so `done` holds at the fixpoint iff it
+      holds at the end of some block.  A window that did not change in a
+      block had a generation that activated nothing in it, its fixpoint;
+      a board that stopped early had one for every window.
+    * The windows cannot interact.  By induction on generations, no blank
+      cell (in a gap row or a padding window) is ever Active, so a window
+      cell sees what it sees alone, where the cells outside stay Empty.
+    * Local k: a blank cell's row is blank, so it sees Active cells along
+      its column only.  j >= 1 rows above a window it sees at most
+      max(k - j, 0) of that window's cells and, for j <= g, at most
+      max(j + k - 1 - g, 0) of the window above; each count, and their sum
+      2k - 1 - g, is at most k - 1 as g >= k, so it never fires.  An Empty
+      window cell's cross reaches k - 1 < g rows out, and the l1 ball of
+      radius k around an Occupied cell stops g + 1 > k rows short of the
+      next window.
+    * Modified and Frobose fire an Empty cell only with an Active
+      horizontal neighbour, which a gap-row cell lacks.  The cells that a
+      window cell reads lie at most one row out, in a gap row; the next
+      window is g + 1 >= 3 rows away.
+    * Widening the gap past max(k, 2) to whole bytes keeps every bound:
+      more blank rows only move the next window farther.  Horizontal
+      shifts are masked per row, so nothing wraps from one row to the next.
+    """
+    gap, per_board = _board_layout(width, height, spec.k)
+    nbytes = (height + gap) * width // 8
+    windows = iter(windows)
+    verdicts: List[bool] = []
+    live = []  # (input index, Active stride, Occupied stride) of the windows still growing
+    while True:
+        for active, occupied in itertools.islice(windows, per_board - len(live)):
+            live.append((len(verdicts), active.ljust(nbytes, b"\0"), occupied.ljust(nbytes, b"\0")))
+            verdicts.append(False)
+        if not live:
+            return verdicts
+        padded = 1 << (len(live) - 1).bit_length()
+        board, generations = bitboard_closure(
+            spec, width, padded * (height + gap) - gap,
+            int.from_bytes(b"".join(active for _, active, _ in live), "little"),
+            int.from_bytes(b"".join(occupied for _, _, occupied in live), "little"),
+            budget=budget,
+        )
+        # gap rows and padding windows stay blank, so the board fits in the live windows' strides
+        after = board.to_bytes(len(live) * nbytes, "little")
+        survivors = []
+        for start, (index, active, occupied) in zip(range(0, len(after), nbytes), live):
+            active_after = after[start:start + nbytes]
+            if done(int.from_bytes(active_after, "little")):
+                verdicts[index] = True
+            elif generations == budget and active_after != active:
+                survivors.append((index, active_after, occupied))
+            # else unchanged in the block, or on a board that stopped early: at the fixpoint
+        live = survivors
 
 
 # --- rectangle growth sequences -------------------------------------------

@@ -79,11 +79,14 @@ def fk_eval(k: int, x, tol: float = DEFAULT_ROOT_TOL):
 
     which divides the trivial root f = x out of the short form: it changes
     sign exactly once on [0, 1] and its f-derivative stays bounded away from
-    zero at the fixed point k/(k+1), where h_k(f) - h_k(x) is quadratically
-    flat and would surrender half the significant digits.  The root lands on
-    the decreasing branch automatically (in [k/(k+1), 1] for x below the
-    fixed point, in [0, k/(k+1)] above it).  `tol` gates the post-hoc
-    residual check; bisection itself runs to machine resolution.
+    zero at the fixed point m = k/(k+1), where h_k(f) - h_k(x) is
+    quadratically flat and would surrender half the significant digits.
+    The decreasing branch lies in [m, 1] for x below m and in [0, m] above
+    it, so the long form's sign is read only in that half: at large k its
+    terms underflow outside it (f, x = 1/2 at k = 10^4), and a zero read
+    there picks the wrong branch.  Starting from [0, 1] keeps every root
+    found before bit for bit.  `tol` gates the post-hoc residual check;
+    bisection itself runs to machine resolution.
     """
     k = _check_k(k)
     if not tol > 0:
@@ -94,6 +97,8 @@ def fk_eval(k: int, x, tol: float = DEFAULT_ROOT_TOL):
 
     xp = [x_arr**i for i in range(k)]
     one_minus_x = 1.0 - x_arr
+    m = k / (k + 1.0)
+    below = x_arr < m
 
     def long_form(f):
         s = np.ones_like(f) if k == 1 else xp[0].copy()
@@ -105,13 +110,13 @@ def fk_eval(k: int, x, tol: float = DEFAULT_ROOT_TOL):
     hi = np.ones_like(x_arr)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        move_lo = long_form(mid) < 0.0
+        negative = long_form(mid) < 0.0
+        move_lo = np.where(below, (mid <= m) | negative, (mid < m) & negative)
         lo = np.where(move_lo, mid, lo)
         hi = np.where(move_lo, hi, mid)
     f = 0.5 * (lo + hi)
 
     # pin the exactly-known values
-    m = k / (k + 1.0)
     f = np.where(x_arr == 0.0, 1.0, f)
     f = np.where(x_arr == 1.0, 0.0, f)
     f = np.where(x_arr == m, m, f)

@@ -50,6 +50,11 @@ class TestNumericCommands:
         assert float(lines[1]) == pytest.approx(fk_eval(2, 0.3), rel=1e-14)
         assert len(lines[0].replace(".", "").lstrip("0")) >= 14  # 15 significant digits
 
+    def test_fk_at_large_k(self, capsys):
+        # the root is 1 - 2^-10001 to within an ulp; the long form once underflowed to 4.1e-25
+        code, out, _ = run_cli(capsys, "fk", "--k", "10000", "--x", "0.5")
+        assert code == 0 and out == "1\n"
+
     def test_gk_and_lambda(self, capsys):
         code, out, _ = run_cli(capsys, "gk", "--k", "1", "--z", "1.0")
         assert float(out.strip()) == pytest.approx(-math.log(1 - math.exp(-1)), rel=1e-12)

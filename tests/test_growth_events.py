@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perckit import growth_events
+from perckit import growth_events, lattice
 from perckit.gap_process import GapProcess, rho_exact
 from perckit.growth_events import (
     EMPTY,
@@ -523,7 +523,7 @@ class TestTrialRunner:
         ]
 
     def test_oracle_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(growth_events, "bitboard_closure", lambda *args, **kwargs: (0, 0))
+        monkeypatch.setattr(lattice, "bitboard_closure", lambda *args, **kwargs: (0, 0))
         build = functools.partial(_planted_trial, 6, 6)
         with pytest.raises(AssertionError, match="disagree"):
             _run_case([CaseResult("dk", 2, "local", 4, 9, 1, 0)], [self.model], build,
@@ -644,12 +644,16 @@ class TestBatchedTrials:
     def test_matches_one_closure_per_trial(self, batch):
         models, trials, side = batch
         outcomes = []
-        for runner, per_board in ((_run_case, 128), (_run_case, 2), (_run_case_per_trial, None)):
+        # boards of up to 128 windows, of two, and of as many as fit in 64
+        # bits (one for all but the smallest windows): the bit cap, not the
+        # count cap, splits the last boards
+        for runner, per_board, bits in ((_run_case, 128, 1 << 19), (_run_case, 2, 1 << 19),
+                                        (_run_case, 128, 64), (_run_case_per_trial, None, None)):
             results = [CaseResult("dk", m.k, m.variant.value, 4, 9, len(trials), 0) for m in models]
-            with mock.patch.object(growth_events, "_BOARD_TRIALS", per_board):
+            with mock.patch.multiple(lattice, _BOARD_TRIALS=per_board, _BOARD_BITS=bits):
                 runner(results, models, trials.__getitem__, side, list(trials))
             outcomes.append(results)
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
 
     def test_square_larger_than_its_window_is_a_violation(self):
         # R(9, 9) does not fit an 8 x 8 window, though the whole window fills
@@ -660,15 +664,16 @@ class TestBatchedTrials:
         assert res.counterexample == ("A" * 8 + "\n") * 8
 
     def test_trials_do_not_reach_across_the_separator(self):
-        # a lone Active cell at the right edge of one window and a fully
-        # Occupied neighbour: under local k the l1 ball of radius k would
-        # reach across a gap narrower than k + 1 columns
+        # a lone Active cell on the top edge of one window, which faces the
+        # next window up the board, and a fully Occupied next window: under
+        # local k the l1 ball of radius k would reach across a gap narrower
+        # than k + 1 rows
         k = 3
         model = ModelSpec(Variant.LOCAL_K, k=k, q=0.5)
-        left = np.zeros((4, 4), dtype=np.uint8)
-        left[0, 3] = A
-        right = np.full((4, 4), O, dtype=np.uint8)
-        trials = [left, right]
+        lower = np.zeros((4, 4), dtype=np.uint8)
+        lower[3, 0] = A
+        upper = np.full((4, 4), O, dtype=np.uint8)
+        trials = [lower, upper]
         res = CaseResult("dk", k, "local", 4, 9, 2, 0)
         _run_case([res], [model], trials.__getitem__, side=1, seeds=range(2))
         assert res.violations == 2

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perckit import harness
+from perckit import growth_events, harness, lattice
 from perckit.harness import (
     ExperimentConfig,
     MCResult,
@@ -31,6 +31,7 @@ from perckit.lattice import (
     Variant,
     _board_masks,
     bitboard_reaches_far_edge,
+    far_edge,
     pack_board,
     reaches_boundary,
     run_to_fixpoint,
@@ -301,6 +302,13 @@ def _solo_trials(spec, L, trials, point_seed):
     return successes
 
 
+def _check_board_layout(width, height, k):
+    gap, windows = lattice._board_layout(width, height, k)
+    assert max(k, 2) <= gap < max(k, 2) + 8 and (height + gap) * width % 8 == 0
+    assert windows == 1 or windows * (height + gap) * width <= lattice._BOARD_BITS
+    assert windows & (windows - 1) == 0 and 1 <= windows <= lattice._BOARD_TRIALS
+
+
 _VARIANT_K = [(Variant.LOCAL_K, k) for k in (2, 3, 4, 5)] + [
     (Variant.LOCAL_MODIFIED, 1),
     (Variant.LOCAL_FROBOSE, 1),
@@ -346,15 +354,20 @@ class TestBoundaryTrials:
     @pytest.mark.parametrize("L", [*range(1, 12), 37, 56, 8000])
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_board_layout(self, L, k):
-        gap, windows = harness._board_layout(L, k)
-        assert max(k, 2) <= gap < max(k, 2) + 8 and (L + gap) * L % 8 == 0
-        assert windows == 1 or windows * (L + gap) * L <= harness._BOARD_BITS
-        assert windows & (windows - 1) == 0 and 1 <= windows <= harness._BOARD_TRIALS
+        _check_board_layout(L, L, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 40])
+    def test_growth_board_layout(self, k):
+        shapes = {build(0).shape for *_, build, _ in growth_events._growth_cases(k, 0.5)}
+        for height, width in shapes:
+            _check_board_layout(width, height, k)
+        if k == 40:  # the E_k window is 178 x 178: the bit cap, not the count cap, binds
+            assert (178, 178) in shapes and lattice._board_layout(178, 178, 40)[1] < 128
 
     def test_board_cap_by_bits(self):
         # no trial runs: the cap comes from L and k alone
-        assert {harness._board_layout(L, 2)[1] for L in range(32, 57)} == {128}
-        assert harness._board_layout(8000, 2)[1] == 1
+        assert {lattice._board_layout(L, L, 2)[1] for L in range(32, 57)} == {128}
+        assert lattice._board_layout(8000, 8000, 2)[1] == 1
 
     @pytest.mark.parametrize("variant_k,q,L,trials", [
         ((Variant.LOCAL_K, 3), 0.0, 50, 300),
@@ -363,21 +376,31 @@ class TestBoundaryTrials:
         ((Variant.LOCAL_MODIFIED, 1), 0.5, 37, 600),
     ])
     def test_survivors_fill_several_boards(self, monkeypatch, variant_k, q, L, trials):
-        blocks = []
-        run_block = harness._run_block
-
-        def spy(spec, L, gap, windows):
-            after, generations = run_block(spec, L, gap, windows)
-            blocks.append((list(windows), after, generations))
-            return after, generations
-
-        monkeypatch.setattr(harness, "_run_block", spy)
         spec = ModelSpec(variant_k[0], k=variant_k[1], q=q)
-        assert _boundary_trials(spec, L, trials, 17) == _solo_trials(spec, L, trials, 17)
-        assert len(blocks) >= 2 and any(len(w) == harness._BOARD_TRIALS for w, *_ in blocks)
-        gap = harness._board_layout(L, spec.k)[0]
-        far = _board_masks(L, L, max(spec.k - 1, 1))[1]
-        origin = (1).to_bytes((L + gap) * L // 8, "little")
+        gap = lattice._board_layout(L, L, spec.k)[0]
+        nbytes = (L + gap) * L // 8
+        blocks = []
+        closure = lattice.bitboard_closure
+
+        def strides(board, count):
+            raw = board.to_bytes(count * nbytes, "little")
+            return [raw[i:i + nbytes] for i in range(0, len(raw), nbytes)]
+
+        def spy(spec, width, height, active, occupied, budget):
+            board, generations = closure(spec, width, height, active, occupied, budget=budget)
+            count = (height + gap) // (L + gap)
+            # padding windows are blank; every trial window has an Active origin
+            windows = [(a, o) for a, o in zip(strides(active, count), strides(occupied, count))
+                       if a.strip(b"\0")]
+            blocks.append((windows, strides(board, len(windows)), generations))
+            return board, generations
+
+        solo = _solo_trials(spec, L, trials, 17)
+        monkeypatch.setattr(lattice, "bitboard_closure", spy)
+        assert _boundary_trials(spec, L, trials, 17) == solo
+        assert len(blocks) >= 2 and any(len(w) == lattice._BOARD_TRIALS for w, *_ in blocks)
+        far = far_edge(L, L)
+        origin = (1).to_bytes(nbytes, "little")
         # a window enters as a fresh trial (only its origin Active) or as a
         # survivor: far edge not Active, changed through a block of G
         # generations; every survivor comes back exactly once, nothing else does
@@ -399,6 +422,24 @@ class TestBoundaryTrials:
         report = trend_check_theorem1(2, s_grid, trials=300, seed=5, L_rule=lambda s: 24)
         assert len(set(report.successes)) > 8
         assert _board_masks.cache_info().currsize <= 8
+
+    def test_no_board_shaped_far_mask_is_cached(self, monkeypatch):
+        # only the L x L window's far edge is read, and no board shape keeps
+        # one: the masks cached for a board are (all cells, plus, minus)
+        shapes = set()
+        closure = lattice.bitboard_closure
+
+        def spy(spec, width, height, *args, **kwargs):
+            shapes.add((width, height, max(spec.k - 1, 1)))
+            return closure(spec, width, height, *args, **kwargs)
+
+        monkeypatch.setattr(lattice, "bitboard_closure", spy)
+        _board_masks.cache_clear()
+        trend_check_theorem1(2, [0.5, 0.4, 0.3], trials=300, seed=5, L_rule=lambda s: 24)
+        assert len(shapes) > 1 and _board_masks.cache_info().currsize == len(shapes)
+        for width, height, reach in shapes:
+            assert far_edge(width, height) not in _board_masks(width, height, reach)
+        assert _board_masks.cache_info().misses == len(shapes)
 
     def test_pinned_trend_counts(self):
         # trend --k 2 --s 0.25 0.2 0.167 0.143 --trials 1000 --seed 7, as

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,22 @@ from perckit.special_fn import (
 
 def f2_closed(x):
     return (1.0 - x + np.sqrt((1.0 - x) * (1.0 + 3.0 * x))) / 2.0
+
+
+def fk_mp(k, x):
+    """f_k(x) by bisection of h_k(f) = h_k(x) in 40 digits on the decreasing branch."""
+    with mpmath.workdps(40):
+        x, m = mpmath.mpf(x), mpmath.mpf(k) / (k + 1)
+        target = x**k * (1 - x)
+        lo, hi = (m, mpmath.mpf(1)) if x < m else (mpmath.mpf(0), m)
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            # h_k falls on [m, 1] and rises on [0, m]
+            if (mid**k * (1 - mid) > target) == (x < m):
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
 
 
 class TestFk:
@@ -62,6 +79,15 @@ class TestFk:
             rhs += f ** (k - 1 - i) * x**i
         rhs *= 1.0 - x
         assert np.max(np.abs(f**k - rhs)) < 1e-10
+
+    # both sides of m = k/(k+1); at k = 10^4 and x = 0.5 or 0.9 the long
+    # form's f^k and x^i underflow, which once sent the root to the wrong branch
+    @pytest.mark.parametrize("k,x", [
+        (1000, 0.1), (1000, 0.5), (1000, 0.9), (1000, 0.999), (1000, 0.99999),
+        (10_000, 0.5), (10_000, 0.9), (10_000, 0.999), (10_000, 0.99999), (10_000, 1 - 1e-7),
+    ])
+    def test_large_k_matches_mpmath(self, k, x):
+        assert fk_eval(k, x) == pytest.approx(fk_mp(k, x), rel=1e-14)
 
     def test_decreasing(self):
         x = np.linspace(0.0, 1.0, 2000)
