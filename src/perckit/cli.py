@@ -19,7 +19,7 @@ import numpy as np
 
 from . import growth_events, harness, lattice, qseries
 from .gap_process import GapProcess, prob_ak, rho_exact
-from .rng import trial_generator
+from .rng import philox_words, uniforms
 from .special_fn import fk_eval, gk_eval, hk_eval, hk_tilde_eval, lambda_k
 
 
@@ -37,7 +37,7 @@ def _print_values(fn, points) -> int:
     """Print fn(p) for every point, or only an error line if any point is rejected."""
     try:
         values = [fn(p) for p in points]
-    except ValueError as exc:  # bad --k/--x/--z/--tol
+    except (ArithmeticError, ValueError) as exc:  # bad --k/--x/--z/--tol, or an unmet residual
         return _usage_error(exc)
     for value in values:
         print(_fmt(value))
@@ -62,10 +62,10 @@ def _cmd_hk_scan(args):
             raise ValueError("k must be a positive integer")
         if args.samples < 0:
             raise ValueError("samples must be nonnegative")
-        rng = trial_generator(args.seed, 0)
         width = 2 * args.k - 1 if args.tilde else args.k
         fn = hk_tilde_eval if args.tilde else hk_eval
-        tuples = np.sort(rng.uniform(0.0, 1.0, (args.samples, width)), axis=1)
+        draws = uniforms(philox_words(args.seed, 0, args.samples * width))
+        tuples = np.sort(draws.reshape(args.samples, width), axis=1)
         values = np.atleast_1d(fn(args.k, tuples))
     except ValueError as exc:  # bad --k/--samples/--seed
         return _usage_error(exc)

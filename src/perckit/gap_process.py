@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rng import trial_generator
+from .rng import philox_words, uniforms
 from .special_fn import fk_eval, lambda_k
 
 __all__ = [
@@ -592,12 +592,9 @@ def rho_montecarlo(process: GapProcess, n: int, trials: int, seed: int) -> tuple
     k = process.k
     u = process.probabilities(n)
     count = 0
-    done = 0
-    chunk = 0
-    while done < trials:
+    for chunk, done in enumerate(range(0, trials, _MC_CHUNK)):
         take = min(_MC_CHUNK, trials - done)
-        rng = trial_generator(seed, chunk)
-        draws = rng.random((take, n)) if n else np.zeros((take, 0))
+        draws = uniforms(philox_words(seed, chunk, take * n)).reshape(take, n)
         fail = draws >= u  # event i fails with probability 1 - u_i
         run = np.zeros(take, dtype=np.int32)
         gap = np.zeros(take, dtype=bool)
@@ -605,8 +602,6 @@ def rho_montecarlo(process: GapProcess, n: int, trials: int, seed: int) -> tuple
             run = np.where(fail[:, j], run + 1, 0)
             gap |= run >= k
         count += int(np.sum(~gap))
-        done += take
-        chunk += 1
     est = count / trials
     return est, math.sqrt(est * (1.0 - est) / trials)
 

@@ -525,11 +525,8 @@ def _conditioned_cells(chain: EventChain, q: float, seed: int, background: str) 
     # a line reads at most one word per free cell, and one more in a NO_GAP family
     background_words = L * L if background == "sample" else 0
     reader = PhiloxReader(seed, background_words + len(plan.cells) + plan.gap_lines)
-    # bytes of bools: a bool stores as 1, CellState.OCCUPIED
-    if background_words:
-        grid = np.frombuffer(bytearray(reader.below(1.0 - q, background_words)), dtype=np.uint8)
-    else:
-        grid = np.zeros(L * L, dtype=np.uint8)
+    grid = np.zeros(L * L, dtype=np.uint8)
+    grid[:background_words] = reader.below(1.0 - q, background_words)  # True is 1, OCCUPIED
     grid[plan.cells] = np.frombuffer(bytes(_fill(plan, q, reader)), dtype=np.uint8)
     grid[plan.fixed_cells] = plan.fixed_states
     return grid.reshape(L, L)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gap_process import prob_ak, prob_ak_log_bounds
 from .lattice import ModelSpec, Variant, far_edge, run_windows
-from .rng import derive_seed, first_uniforms, trial_generator
+from .rng import below, derive_seed, first_words, philox_words
 from .special_fn import lambda_k
 
 __all__ = [
@@ -147,14 +147,14 @@ class MCResult:
 # leave sooner, longer ones repack less often; on the trend and scan
 # points of the benchmark 4 and 6 were within 1 % and 8 was 3 % slower.
 _BLOCK_GENERATIONS = 4
-_ORIGIN_CHUNK = 1 << 16  # trials whose origins are drawn in one `first_uniforms` pass
+_ORIGIN_CHUNK = 1 << 16  # trials whose origins are drawn in one `first_words` pass
 
 
 def _active_origins(point_seed: int, trials: int, p_active: float):
-    """The trials, in order, whose origin cell (their first uniform) is nonempty."""
+    """The trials, in order, whose origin cell (their first word) is nonempty."""
     for first in range(0, trials, _ORIGIN_CHUNK):
-        draws = first_uniforms(point_seed, np.arange(first, min(first + _ORIGIN_CHUNK, trials)))
-        yield from (first + np.flatnonzero(draws < p_active)).tolist()
+        words = first_words(point_seed, np.arange(first, min(first + _ORIGIN_CHUNK, trials)))
+        yield from (first + np.flatnonzero(below(words, p_active))).tolist()
 
 
 def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> int:
@@ -167,16 +167,16 @@ def _boundary_trials(spec: ModelSpec, L: int, trials: int, point_seed: int) -> i
     effective radius at the same L and measurably flatten the
     metastability exponent.
 
-    Only trials with an Active origin can grow; `first_uniforms` finds
-    them from the first draw of each trial's stream, and each of them then
-    draws its L*L uniforms, row-major, the origin's first.  `run_windows`
+    Only trials with an Active origin can grow; `first_words` finds them
+    from the first word of each trial's stream, and each of them then reads
+    its L*L words, row-major, the origin's first, as its cells.  `run_windows`
     runs them in blocks and scores each by its far edge, as
     `bitboard_reaches_far_edge` does for one trial.
     """
     far = far_edge(L, L)
     p_active = 1.0 - spec.q
     windows = (
-        (b"\x01", np.packbits(trial_generator(point_seed, t).random(L * L) < p_active,
+        (b"\x01", np.packbits(below(philox_words(point_seed, t, L * L), p_active),
                             bitorder="little").tobytes())
         for t in _active_origins(point_seed, trials, p_active)
     )

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .rng import trial_generator
+from .rng import below, philox_words
 
 __all__ = [
     "CellState",
@@ -180,13 +180,13 @@ def sample_initial(
     Global: every cell Active with probability 1-q, else Empty.  Localized
     (local variants only): the origin is Active with probability 1-q else
     Empty, every other cell Occupied with probability 1-q else Empty.
-    Deterministic for a fixed seed: one draw from `trial_generator(seed, 0)`.
+    Deterministic for a fixed seed: cell i reads word i of `philox_words(seed, 0, width * height)`.
     """
     if width < 1 or height < 1:
         raise ValueError("dimensions must be >= 1")
     if localized and not spec.is_local:
         raise ValueError("localized sampling requires a local model variant")
-    nonempty = trial_generator(seed, 0).random((height, width)) < (1.0 - spec.q)
+    nonempty = below(philox_words(seed, 0, width * height), 1.0 - spec.q).reshape(height, width)
     if origin is None:
         origin = (width // 2, height // 2) if localized else (0, 0)
     ox, oy = origin
@@ -361,6 +361,14 @@ def reaches_boundary(lattice: Lattice, spec: ModelSpec) -> bool:
     return False
 
 
+def _first_column(width: int, height: int) -> int:
+    """Bit y*width of every row y: `full // row` by doubling shifts, not a quadratic division."""
+    column = 1
+    for n in range((height - 1).bit_length()):  # 2^n rows to 2^(n+1)
+        column |= column << (width << n)
+    return column & ((1 << (width * height)) - 1)
+
+
 @functools.lru_cache(maxsize=64)
 def _board_masks(width: int, height: int, reach: int) -> Tuple[int, List[int], List[int]]:
     """(all cells, plus, minus) for a width x height bitboard.
@@ -373,7 +381,7 @@ def _board_masks(width: int, height: int, reach: int) -> Tuple[int, List[int], L
         raise ValueError("window dimensions must be >= 1")
     row = (1 << width) - 1
     full = (1 << (width * height)) - 1
-    first_column = full // row  # bit y*width of every row y
+    first_column = _first_column(width, height)
     # a shift by 0 keeps every column: plus[0] and minus[0] are `full` itself
     plus = [full] + [first_column * (row & ~((1 << v) - 1)) for v in range(1, reach + 1)]
     minus = [full] + [first_column * ((1 << max(width - v, 0)) - 1) for v in range(1, reach + 1)]
@@ -388,7 +396,7 @@ def far_edge(width: int, height: int) -> int:
     """
     row = (1 << width) - 1
     top = row << (width * (height - 1)) if height > 1 else 0
-    right = ((1 << (width * height)) - 1) // row << (width - 1) if width > 1 else 0
+    right = _first_column(width, height) << (width - 1) if width > 1 else 0
     return top | right
 
 

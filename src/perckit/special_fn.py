@@ -122,7 +122,7 @@ def fk_eval(k: int, x, tol: float = DEFAULT_ROOT_TOL):
     f = np.where(x_arr == m, m, f)
 
     if np.any(np.abs(_hk(f, k) - _hk(x_arr, k)) > tol):
-        raise ArithmeticError("f_k root residual exceeded tol")  # pragma: no cover
+        raise ArithmeticError("f_k root residual exceeded tol")
     return float(f) if np.isscalar(x) or x_arr.ndim == 0 else f
 
 
@@ -231,9 +231,8 @@ def gk_derivative(k: int, z, tol: float = DEFAULT_ROOT_TOL):
         if np.any(rest):
             f[rest] = fk_eval(k, x[rest], tol)
 
-    near = np.abs(x - m) < 1e-5
-    low = (f < m) & ~near  # z below the fixed point: use f^k = t S(f)
-    high = ~low & ~near
+    # z below the fixed point: use f^k = t S(f); near it `_fk_derivative` takes its series
+    low = (f < m) & ~(np.abs(x - m) < 1e-5)
 
     out = np.empty_like(z_arr)
     if np.any(low):
@@ -243,10 +242,8 @@ def gk_derivative(k: int, z, tol: float = DEFAULT_ROOT_TOL):
         out[low] = (x[low] ** k * (k - (k + 1.0) * x[low])) / (
             t[low] * s * (k - (k + 1.0) * f[low])
         )
-    if np.any(high):
-        out[high] = x[high] * _fk_derivative(k, x[high], f[high]) / f[high]
-    if np.any(near):
-        out[near] = x[near] * _fk_derivative(k, x[near], f[near]) / f[near]
+    high = ~low
+    out[high] = x[high] * _fk_derivative(k, x[high], f[high]) / f[high]
     return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 

@@ -55,6 +55,13 @@ class TestNumericCommands:
         code, out, _ = run_cli(capsys, "fk", "--k", "10000", "--x", "0.5")
         assert code == 0 and out == "1\n"
 
+    def test_fk_residual_error_is_one_line(self, capsys):
+        # near f = 1 at large k the root misses its residual check: an error line, no traceback
+        code, out, err = run_cli(capsys, "fk", "--k", "1000", "--x", "0.01")
+        assert code == 2
+        assert out == ""
+        assert err == "error: f_k root residual exceeded tol\n"
+
     def test_gk_and_lambda(self, capsys):
         code, out, _ = run_cli(capsys, "gk", "--k", "1", "--z", "1.0")
         assert float(out.strip()) == pytest.approx(-math.log(1 - math.exp(-1)), rel=1e-12)
@@ -219,6 +226,30 @@ class TestSimulationCommands:
             "--L", "16", "--seed", "3",
         )
         assert out1 == out2
+
+    def test_simulate_and_hk_scan_are_pinned(self, capsys, tmp_path, monkeypatch):
+        # stdout and snapshot bytes of every rule at q = 0, 0.4 and 1, and
+        # hk-scan plain and tilde, pinned by one SHA-256 taken while the draws
+        # still came from a numpy Generator
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for model, k in (("local", "2"), ("modified", "1"), ("frobose", "1")):
+            for q in ("0", "0.4", "1"):
+                code, out, _ = run_cli(
+                    capsys, "simulate", "--model", model, "--k", k, "--q", q, "--L", "20",
+                    "--seed", "7", "--snapshot", "grid.bin",
+                )
+                digest.update(f"{code}\n{out}".encode())
+                digest.update((tmp_path / "grid.bin").read_bytes())
+        for samples in ("0", "50"):
+            for tilde in ([], ["--tilde"]):
+                code, out, _ = run_cli(
+                    capsys, "hk-scan", "--k", "3", "--samples", samples, "--seed", "5", *tilde,
+                )
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "fbbdfa7929e1c8471dc3f115052ee8fb1501332b57fdc703fd7fa1e2234c9609"
+        )
 
     def test_events_prob_and_verify(self, capsys):
         code, out, _ = run_cli(

@@ -616,7 +616,7 @@ class TestMonteCarlo:
         (7, 0.5971, 0.4), (20240, 0.5963, 0.40044444444444444),
     ])
     def test_pinned_estimates(self, seed, parametric, explicit):
-        # three chunks of 4096 trials each, keyed by rng.trial_generator(seed, chunk)
+        # three chunks of 4096 trials each, chunk c reading rng.philox_words(seed, c, ...)
         est, _ = rho_montecarlo(GapProcess.parametric(2, 0.4), 50, trials=10_000, seed=seed)
         assert est == parametric
         u = [0.2, 0.5, 0.1, 0.3, 0.6, 0.4, 0.2]

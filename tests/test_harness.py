@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,8 +37,21 @@ from perckit.lattice import (
     reaches_boundary,
     run_to_fixpoint,
 )
-from perckit.rng import PhiloxReader, derive_seed, first_uniforms, splitmix64, trial_generator
+from perckit.rng import (
+    PhiloxReader,
+    below,
+    derive_seed,
+    first_words,
+    philox_words,
+    splitmix64,
+    uniforms,
+)
 from perckit.special_fn import lambda_k
+
+
+def _stream(seed, trial):
+    """A fresh `Generator` on trial `trial`'s stream under `seed`: the oracle of `rng`."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, trial, 0]))
 
 
 class TestRng:
@@ -57,22 +71,62 @@ class TestRng:
 
     @pytest.mark.parametrize("trial", [0, 1, 7, 2**32 + 3])
     def test_trial_generator_is_the_jumped_stream(self, trial):
-        seed = derive_seed(42, 3)
-        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
-        assert np.array_equal(trial_generator(seed, trial).random(64), jumped.random(64))
+        # `philox_words`, which replaced `trial_generator`, reads the jumped stream
+        for seed in (0, 11, 2**64 - 1, 2**128 - 1, derive_seed(42, 3)):
+            for count in (0, 1, 3, 4, 5, 64, 1001):
+                words = philox_words(seed, trial, count)
+                assert words.dtype == np.uint64 and words.shape == (count,)
+                jumped = np.random.Philox(key=seed).jumped(trial)
+                assert np.array_equal(words, jumped.random_raw(count))
 
-    def test_trial_generator_starts_every_trial_afresh(self):
-        # one generator serves every call: a half-used buffer must not leak
-        # into the next trial, whichever key came in between
-        for seed, trial in [(5, 0), (5, 1), (9, 1), (5, 1), (2**64 - 1, 3)]:
-            used = trial_generator(seed, trial)
-            used.integers(7)  # leaves half a 64-bit word buffered
-            used.random()
-            fresh = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, trial, 0]))
-            got = trial_generator(seed, trial)
-            assert got.integers(1000) == fresh.integers(1000)
-            assert np.array_equal(got.random(5), fresh.random(5))
-        assert trial_generator(11, 0).random() == np.random.Generator(np.random.Philox(key=11)).random()
+    def test_philox_words_start_every_trial_afresh(self):
+        # one bit generator serves every call: a part-read block must not leak
+        # into the next trial, whichever key came in between, and an earlier
+        # result stays the caller's own
+        earlier = []
+        for seed, trial, count in [(5, 0, 3), (5, 1, 1), (9, 1, 6), (5, 1, 2), (2**64 - 1, 3, 5)]:
+            words = philox_words(seed, trial, count)
+            assert np.array_equal(words, _stream(seed, trial).bit_generator.random_raw(count))
+            earlier.append((seed, trial, words, words.copy()))
+        for seed, trial, words, copy in earlier:
+            assert np.array_equal(words, copy)
+            assert np.array_equal(words, philox_words(seed, trial, len(copy)))
+
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.3, float(np.nextafter(1.0, 0.0)), 1.0])
+    def test_below_matches_the_generator(self, p):
+        for seed in (0, 3, 2**100 + 1):
+            words = philox_words(seed, 2, 500)
+            assert np.array_equal(below(words, p), _stream(seed, 2).random(500) < p)
+            assert below(words.reshape(20, 25), p).shape == (20, 25)
+
+    def test_below_at_a_drawn_value(self):
+        # p one ulp either side of a draw u, and u itself: random() < p flips
+        # between u and the next float up
+        words = philox_words(4, 0, 40)
+        for u, word in zip(_stream(4, 0).random(40), words):
+            one = word.reshape(1)
+            assert not below(one, np.nextafter(u, 0.0))[0]
+            assert not below(one, u)[0]
+            assert below(one, np.nextafter(u, 1.0))[0]
+
+    @pytest.mark.parametrize("p", [-0.5, -0.0, 1.5, math.inf, -math.inf, math.nan])
+    def test_below_out_of_range(self, p):
+        words = philox_words(8, 0, 300)
+        assert np.array_equal(below(words, p), _stream(8, 0).random(300) < p)
+
+    def test_uniforms_match_the_generator(self):
+        for seed, trial in [(0, 0), (7, 3), (2**128 - 1, 2**63)]:
+            draws = uniforms(philox_words(seed, trial, 999))
+            assert np.array_equal(draws, _stream(seed, trial).random(999))
+            assert np.array_equal(draws, _stream(seed, trial).uniform(0.0, 1.0, 999))
+        assert uniforms(philox_words(1, 0, 0)).shape == (0,)
+
+    def test_numpy_random_is_named_only_in_rng(self):
+        # one module holds the bit generator and turns its words into draws
+        src = Path(__file__).resolve().parent.parent / "src" / "perckit"
+        named = re.compile(r"\b(numpy|np)\.random\b|from numpy import random|import numpy\.random")
+        users = sorted(p.name for p in src.glob("*.py") if named.search(p.read_text()))
+        assert users == ["rng.py"]
 
     # n = 1 draws nothing; at 3 * 2^30 about a quarter of the 32-bit draws are rejected
     READER_NS = [1, 2, 3, 7, 1000, 3 * 2**30, 2**32 - 1]
@@ -120,6 +174,22 @@ class TestRng:
         assert [reader.random() for _ in range(10)] == ref.random(10).tolist()
         assert reader.integers(2**32 - 1) == ref.integers(2**32 - 1)
 
+    def test_reader_tops_up_its_own_stream(self):
+        # words read for other seeds and trials in between do not leak into a top-up
+        ref = np.random.Generator(np.random.Philox(key=12))
+        reader = PhiloxReader(12, 2)
+        assert reader.random() == ref.random()
+        for seed, trial in [(13, 0), (12, 5), (2**127, 1)]:
+            philox_words(seed, trial, 7)
+            assert reader.below(0.4, 3) == (ref.random(3) < 0.4).tolist()
+            assert [reader.integers(3 * 2**30) for _ in range(20)] == ref.integers(
+                3 * 2**30, size=20).tolist()
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, 1.0, 2.0, math.nan])
+    def test_reader_below_out_of_range(self, p):
+        ref = np.random.Generator(np.random.Philox(key=6))
+        assert PhiloxReader(6, 2).below(p, 6) == (ref.random(6) < p).tolist()
+
     @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40])
     def test_reader_refuses_n_outside_32_bits(self, n):
         with pytest.raises(ValueError):
@@ -132,25 +202,28 @@ class TestRng:
     @example(0, [0, 1, 2])
     @example(2**128 - 1, [2**63 - 1, 2**32, 2**32 - 1])
     @settings(max_examples=150, deadline=None)
-    def test_first_uniforms_match_the_generator(self, seed, trials):
-        want = [trial_generator(seed, t).random() for t in trials]
-        assert first_uniforms(seed, np.array(trials, dtype=np.uint64)).tolist() == want
+    def test_first_words_match_the_generator(self, seed, trials):
+        words = first_words(seed, np.array(trials, dtype=np.uint64))
+        assert words.dtype == np.uint64
+        assert words.tolist() == [int(philox_words(seed, t, 1)[0]) for t in trials]
+        assert uniforms(words).tolist() == [_stream(seed, t).random() for t in trials]
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 1.0 - 2.0**-53, 2.0**-53, 0.5])
     def test_active_origins_match_the_per_trial_loop(self, q):
         # q = 1 - 2^-53 leaves only a draw of exactly 0 active; q = 2^-53 puts
         # 1 - q one float below 1, so a draw of 1 - 2^-53 is not below it
         for seed in (3, 2**64 + 7):
-            want = [t for t in range(2000) if trial_generator(seed, t).random() < 1.0 - q]
+            want = [t for t in range(2000) if _stream(seed, t).random() < 1.0 - q]
             assert list(harness._active_origins(seed, 2000, 1.0 - q)) == want
-        assert (first_uniforms(3, np.arange(2000)) < 1.0).all()
+        assert (uniforms(first_words(3, np.arange(2000))) < 1.0).all()
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**130 + 5])
     def test_first_uniforms_refuse_the_seeds_trial_generator_refuses(self, seed):
+        # now `first_words` and `philox_words`, which replaced them
         with pytest.raises(ValueError) as kernel:
-            first_uniforms(seed, np.arange(3))
+            first_words(seed, np.arange(3))
         with pytest.raises(ValueError) as stream:
-            trial_generator(seed, 0)
+            philox_words(seed, 0, 3)
         assert str(kernel.value) == str(stream.value)
 
 
@@ -233,14 +306,12 @@ class TestScan:
         from perckit.lattice import (
             CellState, Lattice, ModelSpec, Variant, reaches_boundary, run_to_fixpoint,
         )
-        from perckit.rng import trial_generator
-
         qs = (0.45, 0.55, 0.65, 0.75)
         spec_for = {q: ModelSpec(Variant.LOCAL_K, 2, q) for q in qs}
         L = 16
         counts = {q: 0 for q in qs}
         for t in range(120):
-            draws = trial_generator(17, t).random((L, L))
+            draws = _stream(17, t).random((L, L))
             prev = None
             for q in qs:
                 cells = np.where(
@@ -279,7 +350,7 @@ def _fixpoint_trials(spec, L, trials, point_seed):
     successes = 0
     p_active = 1.0 - spec.q
     for t in range(trials):
-        draws = trial_generator(point_seed, t).random((L, L))
+        draws = _stream(point_seed, t).random((L, L))
         if draws[0, 0] >= p_active:
             continue
         cells = np.where(draws < p_active, np.uint8(CellState.OCCUPIED), np.uint8(CellState.EMPTY))
@@ -294,7 +365,7 @@ def _solo_trials(spec, L, trials, point_seed):
     successes = 0
     p_active = 1.0 - spec.q
     for t in range(trials):
-        rng = trial_generator(point_seed, t)
+        rng = _stream(point_seed, t)
         if rng.random() >= p_active:
             continue
         nonempty = pack_board(rng.random(L * L - 1) < p_active) << 1 | 1

@@ -363,6 +363,19 @@ class TestBitboardClosure:
         with pytest.raises(ValueError):
             bitboard_reaches_far_edge(ModelSpec(Variant.GLOBAL_K, k=2, q=0.5), 4, 1)
 
+    @pytest.mark.parametrize("width,height", [
+        (1, 1), (1, 2), (1, 9), (2, 1), (9, 1), (3, 5), (7, 13), (13, 7), (17, 33), (56, 56),
+    ])
+    def test_first_column_matches_the_division(self, width, height):
+        full, row = (1 << width * height) - 1, (1 << width) - 1
+        assert lattice._first_column(width, height) == full // row
+        on_far_edge = np.zeros((height, width), dtype=bool)
+        if height > 1:
+            on_far_edge[height - 1, :] = True
+        if width > 1:
+            on_far_edge[:, width - 1] = True
+        assert lattice.far_edge(width, height) == _pack(on_far_edge)
+
 
 _GLOBAL_SPECS = [(Variant.GLOBAL_K, k) for k in (1, 2, 3, 4)]
 
